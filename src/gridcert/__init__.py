@@ -16,7 +16,6 @@ from .certificate import (
     certify,
     deflated_min_eig,
     load_stiffness_block,
-    network_hessian,
     structural_null_vector,
     synchronizing_coefficient,
 )
@@ -54,6 +53,7 @@ from .network import (
     PowerFlowSolution,
     Slack,
     build_susceptance,
+    network_hessian,
     normalize_angle,
     power_balance,
     power_flow_jacobian,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import CapabilityError, ConstantPowerLoad, internal_phase
-from .network import Network
+from .network import Network, network_hessian
 
 __all__ = [
     "CERT_TOL",
@@ -30,7 +30,6 @@ __all__ = [
     "synchronizing_coefficient",
     "bus_stiffness_block",
     "load_stiffness_block",
-    "network_hessian",
     "structural_null_vector",
     "deflated_min_eig",
     "StabilityReport",
@@ -89,39 +88,6 @@ def load_stiffness_block(Q_ref, V):
     return np.array([[0.0, 0.0], [0.0, Q_ref / V**2]])
 
 
-def network_hessian(theta, V, B):
-    """2N x 2N Hessian of the network energy over interleaved (theta_i, V_i).
-
-    Built from the susceptance matrix and the voltage phasors alone; it is
-    the transmission network's contribution to the stability condition and
-    annihilates the uniform phase-shift direction.
-    """
-    theta = np.asarray(theta, dtype=float)
-    V = np.asarray(V, dtype=float)
-    n = theta.size
-    D = np.subtract.outer(theta, theta)
-    C = np.cos(D)
-    S = np.sin(D)
-    W = B * np.outer(V, V)
-
-    tt = -W * C
-    np.fill_diagonal(tt, 0.0)
-    np.fill_diagonal(tt, -tt.sum(axis=1))
-
-    tv = B * S * V[:, None]
-    np.fill_diagonal(tv, (B * S * V[None, :]).sum(axis=1))
-
-    vv = -B * C
-    np.fill_diagonal(vv, -np.diag(B))
-
-    L = np.empty((2 * n, 2 * n))
-    L[0::2, 0::2] = tt
-    L[0::2, 1::2] = tv
-    L[1::2, 0::2] = tv.T
-    L[1::2, 1::2] = vv
-    return L
-
-
 def structural_null_vector(n_bus):
     """Unit vector of the uniform phase shift: ones on theta slots, zeros on V slots."""
     n = np.zeros(2 * n_bus)
@@ -159,7 +125,6 @@ class StabilityReport:
     witness: np.ndarray | None = None
     violating_bus: int | None = None
     condition_matrix: np.ndarray | None = None
-    network: np.ndarray | None = None
     null_residual: float | None = None
     tol: float = CERT_TOL
 
@@ -227,7 +192,6 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
         return StabilityReport(gammas=gammas, verdict="marginal", violating_bus=worst_bus, tol=tol)
 
     M = network_hessian(flow.theta, flow.V, net.B)
-    L = M.copy()
     for i, dev in enumerate(system.devices):
         block = blocks[i]
         if block is None:
@@ -252,7 +216,6 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
         min_eig=min_eig,
         witness=vec if verdict == "unstable" else None,
         condition_matrix=M,
-        network=L,
         null_residual=null_residual,
         tol=tol,
     )

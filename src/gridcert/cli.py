@@ -9,18 +9,17 @@ is suppressed with --no-timestamp. CSV files use 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .certificate import CertificateError, certify
 from .config import ConfigError, apply_load_mode, load_config
-from .devices import CapabilityError, DroopInverter, TwoAxisGenerator, VsgInverter
+from .devices import CapabilityError, ConstantPowerLoad
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
 from .simulation import perturbed_state, simulate
@@ -158,28 +157,13 @@ def _parse_range(text):
     return np.linspace(a, b, n)
 
 
-def _with_reactances(system, bus_index, x_d, x_q):
-    dev = system.devices[bus_index]
-    if isinstance(dev, VsgInverter):
-        new = VsgInverter(M=dev.M, D=dev.D, X_d=x_d, X_q=x_q)
-    elif isinstance(dev, DroopInverter):
-        new = DroopInverter(D=dev.D, X_d=x_d, X_q=x_q)
-    elif isinstance(dev, TwoAxisGenerator):
-        new = TwoAxisGenerator(M=dev.M, D=dev.D, tau_d=dev.tau_d, tau_q=dev.tau_q,
-                               X_d=x_d, X_q=x_q,
-                               X_d_prime=dev.X_d_prime, X_q_prime=dev.X_q_prime)
-    else:
-        raise ConfigError("sweep bus must host a generator or grid-forming inverter")
-    devices = list(system.devices)
-    devices[bus_index] = new
-    return PowerSystem(system.net, devices, system.omega0)
-
-
 def _sweep_point(cfg, flow, bus_index, x_d, x_q):
+    devices = list(cfg.system.devices)
     try:
-        system = _with_reactances(cfg.system, bus_index, x_d, x_q)
-    except (ConfigError, ValueError):
+        devices[bus_index] = dataclasses.replace(devices[bus_index], X_d=x_d, X_q=x_q)
+    except ValueError:
         return "infeasible", "infeasible", ""
+    system = PowerSystem(cfg.system.net, devices, cfg.system.omega0)
     try:
         report = certify(flow, system, bus_ids=cfg.bus_ids)
         v_cert = report.verdict
@@ -202,23 +186,20 @@ def cmd_sweep(args):
     xd_values = _parse_range(args.xd_range)
     xq_values = _parse_range(args.xq_range)
     modes = [args.load_mode] if args.load_mode else ["forming", "following"]
-
-    threads = os.environ.get("GRIDCERT_THREADS")
-    max_workers = max(1, int(threads)) if threads else min(32, os.cpu_count() or 1)
+    mode_cfgs = [apply_load_mode(cfg, mode) for mode in modes]
+    if any(isinstance(c.system.devices[bus_index], ConstantPowerLoad) for c in mode_cfgs):
+        raise ConfigError("sweep bus must host a generator or grid-forming inverter")
 
     buf = io.StringIO()
     if not args.no_timestamp:
         buf.write(_timestamp_line() + "\n")
     buf.write("X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
-    for mode in modes:
-        mode_cfg = apply_load_mode(cfg, mode)
+    for mode, mode_cfg in zip(modes, mode_cfgs):
         flow = _solve(mode_cfg)
-        points = [(x_d, x_q) for x_d in xd_values for x_q in xq_values]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(
-                lambda p: _sweep_point(mode_cfg, flow, bus_index, p[0], p[1]), points))
-        for (x_d, x_q), (v_cert, v_eig, min_eig) in zip(points, results):
-            buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
+        for x_d in xd_values:
+            for x_q in xq_values:
+                v_cert, v_eig, min_eig = _sweep_point(mode_cfg, flow, bus_index, x_d, x_q)
+                buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -275,16 +256,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PowerFlowError as exc:
         print(f"error: power flow failed: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, DegenerateEquilibriumError, np.linalg.LinAlgError) as exc:
+    except (ConfigError, ValueError, CapabilityError, CertificateError,
+            DegenerateEquilibriumError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

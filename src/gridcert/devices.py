@@ -20,7 +20,7 @@ stability certificate cross-checks and the linearized-dynamics oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,10 +116,60 @@ def reduced_stiffness_blocks(op, X_d, X_q):
     return h_dd, h_dv, h_vv
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+class _Source:
+    """Internal voltage source E_q + j E_d behind reactances (x_d, x_q), seen from its bus.
+
+    With the internal phase a = delta - theta, V_q = V cos a and V_d = V sin a,
+    the currents are
+
+        I_d = (E_q - V_q)/x_d,   I_q = (V_d - E_d)/x_q
+
+    and the reactances store U = (V_d - E_d)^2/(2 x_q) + (E_q - V_q)^2/(2 x_d).
+    The two-axis machine passes its states (E_q, E_d) and transient
+    reactances, the grid-forming inverters (V_fd, 0) and their synchronous
+    ones. Phasor and currents are evaluated once, on construction.
+    """
+
+    __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q")
+
+    def __init__(self, a, V, E_q, E_d, x_d, x_q):
+        self.E_q, self.E_d, self.x_d, self.x_q = E_q, E_d, x_d, x_q
+        self.c, self.s = math.cos(a), math.sin(a)
+        self.vq, self.vd = V * self.c, V * self.s
+        self.I_d = (E_q - self.vq) / x_d
+        self.I_q = (self.vd - E_d) / x_q
+
+    def power(self):
+        """(P, Q) delivered to the bus."""
+        vq, vd, x_d, x_q = self.vq, self.vd, self.x_d, self.x_q
+        P = self.E_q * vd / x_d - self.E_d * vq / x_q + (1.0 / x_q - 1.0 / x_d) * vd * vq
+        Q = self.E_q * vq / x_d + self.E_d * vd / x_q - (vd**2 / x_q + vq**2 / x_d)
+        return P, Q
+
+    def potential(self):
+        """(q-axis, d-axis) terms of U, summed by each device in its own fixed order."""
+        return (self.vd - self.E_d) ** 2 / (2 * self.x_q), (self.E_q - self.vq) ** 2 / (2 * self.x_d)
+
+    def angle_gradient(self):
+        """(dU/ddelta, dU/dV); dU/dtheta is the negation of dU/ddelta."""
+        return self.I_q * self.vq + self.I_d * self.vd, self.I_q * self.s - self.I_d * self.c
+
+    def hessian(self, size):
+        """size x size matrix holding the Hessian of U over (delta, theta, V).
+
+        Delta is the first coordinate, theta and V the last two; entries for
+        any coordinates in between are left zero.
+        """
+        c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
+        h_dd = vq**2 / x_q + vd**2 / x_d + self.I_d * vq - self.I_q * vd
+        h_dV = s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s
+        H = np.zeros((size, size))
+        H[0, 0] = H[-2, -2] = h_dd
+        H[0, -2] = H[-2, 0] = -h_dd
+        H[0, -1] = H[-1, 0] = h_dV
+        H[-2, -1] = H[-1, -2] = -h_dV
+        H[-1, -1] = s**2 / x_q + c**2 / x_d
+        return H
 
 
 class Device:
@@ -132,12 +182,22 @@ class Device:
     kind = ""
     state_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
     @property
     def n_states(self):
         return len(self.state_names)
 
     def stationary_setpoint(self, op):
         return stationary_setpoint(op, self.X_d, self.X_q)
+
+    @property
+    def connection_reactances(self):
+        """(x_d, x_q) between the internal voltage source and the bus."""
+        return self.X_d, self.X_q
 
     def stationary_state(self, theta_star, op, omega0=OMEGA0_DEFAULT):
         """Device state at equilibrium for bus angle `theta_star` and operating point `op`.
@@ -154,17 +214,21 @@ class Device:
             )
         return state
 
+    def output_power(self, state, theta, V, setpoint=None):
+        return self._source(state, theta, V, setpoint).power()
+
     # subclasses implement:
     #   _stationary_state(theta_star, op, setpoint) -> ndarray
-    #   output_power(state, theta, V, setpoint) -> (P, Q)
     #   state_derivative(state, theta, V, setpoint, omega0) -> ndarray
     #   energy(state, theta, V, setpoint, omega0) -> float
     #   energy_gradient(state, theta, V, setpoint, omega0) -> ndarray
     #   energy_hessian(state, theta, V, setpoint, omega0) -> ndarray
     #   damping_block(omega0) -> ndarray over internal states
     #   dissipation_rate(deriv, omega0) -> float
+    # and either _source(state, theta, V, setpoint) -> _Source or output_power.
 
 
+@dataclass(frozen=True, eq=False)
 class TwoAxisGenerator(Device):
     """Two-axis synchronous generator.
 
@@ -177,51 +241,40 @@ class TwoAxisGenerator(Device):
     with V_q = V cos(delta - theta), V_d = V sin(delta - theta).
     """
 
+    M: float
+    D: float
+    tau_d: float
+    tau_q: float
+    X_d: float
+    X_q: float
+    X_d_prime: float
+    X_q_prime: float
+
     kind = "two_axis"
     state_names = ("delta", "omega", "E_q", "E_d")
 
-    def __init__(self, M, D, tau_d, tau_q, X_d, X_q, X_d_prime, X_q_prime):
-        _require_positive(M=M, D=D, tau_d=tau_d, tau_q=tau_q, X_d=X_d, X_q=X_q,
-                          X_d_prime=X_d_prime, X_q_prime=X_q_prime)
-        if not X_d_prime < X_d:
-            raise ValueError(f"transient reactance X_d'={X_d_prime} must be below X_d={X_d}")
-        if not X_q_prime < X_q:
-            raise ValueError(f"transient reactance X_q'={X_q_prime} must be below X_q={X_q}")
-        self.M = M
-        self.D = D
-        self.tau_d = tau_d
-        self.tau_q = tau_q
-        self.X_d = X_d
-        self.X_q = X_q
-        self.X_d_prime = X_d_prime
-        self.X_q_prime = X_q_prime
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.X_d_prime < self.X_d:
+            raise ValueError(f"transient reactance X_d'={self.X_d_prime} must be below X_d={self.X_d}")
+        if not self.X_q_prime < self.X_q:
+            raise ValueError(f"transient reactance X_q'={self.X_q_prime} must be below X_q={self.X_q}")
 
-    def _vqd(self, state, theta, V):
-        a = state[0] - theta
-        return V * math.cos(a), V * math.sin(a)
+    @property
+    def connection_reactances(self):
+        return self.X_d_prime, self.X_q_prime
 
-    def currents(self, state, theta, V):
-        vq, vd = self._vqd(state, theta, V)
-        I_d = (state[2] - vq) / self.X_d_prime
-        I_q = (vd - state[3]) / self.X_q_prime
-        return I_d, I_q
-
-    def output_power(self, state, theta, V, setpoint=None):
-        vq, vd = self._vqd(state, theta, V)
-        E_q, E_d = state[2], state[3]
-        xdp, xqp = self.X_d_prime, self.X_q_prime
-        P = E_q * vd / xdp - E_d * vq / xqp + (1.0 / xqp - 1.0 / xdp) * vd * vq
-        Q = E_q * vq / xdp + E_d * vd / xqp - (vd**2 / xqp + vq**2 / xdp)
-        return P, Q
+    def _source(self, state, theta, V, setpoint=None):
+        return _Source(state[0] - theta, V, state[2], state[3], *self.connection_reactances)
 
     def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        P, _ = self.output_power(state, theta, V)
-        I_d, I_q = self.currents(state, theta, V)
+        src = self._source(state, theta, V, setpoint)
+        P, _ = src.power()
         return np.array([
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
-            (-state[2] - (self.X_d - self.X_d_prime) * I_d + setpoint.V_fd) / self.tau_d,
-            (-state[3] + (self.X_q - self.X_q_prime) * I_q) / self.tau_q,
+            (-state[2] - (self.X_d - self.X_d_prime) * src.I_d + setpoint.V_fd) / self.tau_d,
+            (-state[3] + (self.X_q - self.X_q_prime) * src.I_q) / self.tau_q,
         ])
 
     def _stationary_state(self, theta_star, op, setpoint):
@@ -233,44 +286,33 @@ class TwoAxisGenerator(Device):
         return np.array([theta_star + phi, 0.0, E_q, E_d])
 
     def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        vq, vd = self._vqd(state, theta, V)
+        U_q, U_d = self._source(state, theta, V, setpoint).potential()
         _, omega, E_q, E_d = state
         return (omega0 * self.M * omega**2 / 2
                 + E_q**2 / (2 * (self.X_d - self.X_d_prime))
                 + E_d**2 / (2 * (self.X_q - self.X_q_prime))
-                + (vd - E_d) ** 2 / (2 * self.X_q_prime)
-                + (E_q - vq) ** 2 / (2 * self.X_d_prime))
+                + U_q + U_d)
 
     def energy_gradient(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        vq, vd = self._vqd(state, theta, V)
-        I_d, I_q = self.currents(state, theta, V)
-        a = state[0] - theta
-        dU_ddelta = I_q * vq + I_d * vd
-        dU_dV = I_q * math.sin(a) - I_d * math.cos(a)
+        src = self._source(state, theta, V, setpoint)
+        dU_ddelta, dU_dV = src.angle_gradient()
         return np.array([
             dU_ddelta,
             omega0 * self.M * state[1],
-            state[2] / (self.X_d - self.X_d_prime) + I_d,
-            state[3] / (self.X_q - self.X_q_prime) - I_q,
+            state[2] / (self.X_d - self.X_d_prime) + src.I_d,
+            state[3] / (self.X_q - self.X_q_prime) - src.I_q,
             -dU_ddelta,
             dU_dV,
         ])
 
     def energy_hessian(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        vq, vd = self._vqd(state, theta, V)
-        I_d, I_q = self.currents(state, theta, V)
-        a = state[0] - theta
-        s, c = math.sin(a), math.cos(a)
+        src = self._source(state, theta, V, setpoint)
+        c, s, vq, vd = src.c, src.s, src.vq, src.vd
         xdp, xqp = self.X_d_prime, self.X_q_prime
-        h_dd = vq**2 / xqp + vd**2 / xdp + I_d * vq - I_q * vd
-        h_dV = s * vq / xqp - c * vd / xdp + I_q * c + I_d * s
         # order: delta, omega, E_q, E_d, theta, V
-        H = np.zeros((6, 6))
-        H[0, 0] = h_dd
+        H = src.hessian(6)
         H[0, 2] = H[2, 0] = vd / xdp
         H[0, 3] = H[3, 0] = -vq / xqp
-        H[0, 4] = H[4, 0] = -h_dd
-        H[0, 5] = H[5, 0] = h_dV
         H[1, 1] = omega0 * self.M
         H[2, 2] = 1.0 / (self.X_d - xdp) + 1.0 / xdp
         H[2, 4] = H[4, 2] = -vd / xdp
@@ -278,9 +320,6 @@ class TwoAxisGenerator(Device):
         H[3, 3] = 1.0 / (self.X_q - xqp) + 1.0 / xqp
         H[3, 4] = H[4, 3] = vq / xqp
         H[3, 5] = H[5, 3] = -s / xqp
-        H[4, 4] = h_dd
-        H[4, 5] = H[5, 4] = -h_dV
-        H[5, 5] = s**2 / xqp + c**2 / xdp
         return H
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
@@ -299,65 +338,31 @@ class TwoAxisGenerator(Device):
 
 
 class _GridFormingBase(Device):
-    """Shared output/energy math of the VSG and droop inverters.
+    """Shared connection of the VSG and droop inverters.
 
     Both act as a voltage source V_fd behind the synchronous reactances:
 
         I_d = (V_fd - V_q)/X_d,   I_q = V_d/X_q.
     """
 
-    def _vqd(self, state, theta, V):
-        a = state[0] - theta
-        return V * math.cos(a), V * math.sin(a)
+    def _source(self, state, theta, V, setpoint):
+        return _Source(state[0] - theta, V, setpoint.V_fd, 0.0, *self.connection_reactances)
 
-    def currents(self, state, theta, V, setpoint):
-        vq, vd = self._vqd(state, theta, V)
-        return (setpoint.V_fd - vq) / self.X_d, vd / self.X_q
-
-    def output_power(self, state, theta, V, setpoint):
-        vq, vd = self._vqd(state, theta, V)
-        P = setpoint.V_fd * vd / self.X_d + (1.0 / self.X_q - 1.0 / self.X_d) * vd * vq
-        Q = setpoint.V_fd * vq / self.X_d - (vd**2 / self.X_q + vq**2 / self.X_d)
-        return P, Q
-
-    def _potential(self, state, theta, V, setpoint):
-        vq, vd = self._vqd(state, theta, V)
-        return vd**2 / (2 * self.X_q) + (setpoint.V_fd - vq) ** 2 / (2 * self.X_d)
-
-    def _angle_gradient(self, state, theta, V, setpoint):
-        """(dU/ddelta, dU/dV) of the reactance potential; dU/dtheta is the negation."""
-        vq, vd = self._vqd(state, theta, V)
-        I_d, I_q = self.currents(state, theta, V, setpoint)
-        a = state[0] - theta
-        return I_q * vq + I_d * vd, I_q * math.sin(a) - I_d * math.cos(a)
-
-    def _angle_hessian(self, state, theta, V, setpoint):
-        """3x3 Hessian of the reactance potential over (delta, theta, V)."""
-        vq, vd = self._vqd(state, theta, V)
-        I_d, I_q = self.currents(state, theta, V, setpoint)
-        a = state[0] - theta
-        s, c = math.sin(a), math.cos(a)
-        h_dd = vq**2 / self.X_q + vd**2 / self.X_d + I_d * vq - I_q * vd
-        h_dV = s * vq / self.X_q - c * vd / self.X_d + I_q * c + I_d * s
-        return np.array([
-            [h_dd, -h_dd, h_dV],
-            [-h_dd, h_dd, -h_dV],
-            [h_dV, -h_dV, s**2 / self.X_q + c**2 / self.X_d],
-        ])
+    def dissipation_rate(self, deriv, omega0=OMEGA0_DEFAULT):
+        return -self.D * deriv[0] ** 2 / omega0
 
 
+@dataclass(frozen=True, eq=False)
 class VsgInverter(_GridFormingBase):
     """Virtual synchronous generator: swing equation behind synchronous reactances."""
 
+    M: float
+    D: float
+    X_d: float
+    X_q: float
+
     kind = "vsg"
     state_names = ("delta", "omega")
-
-    def __init__(self, M, D, X_d, X_q):
-        _require_positive(M=M, D=D, X_d=X_d, X_q=X_q)
-        self.M = M
-        self.D = D
-        self.X_d = X_d
-        self.X_q = X_q
 
     def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         P, _ = self.output_power(state, theta, V, setpoint)
@@ -370,17 +375,15 @@ class VsgInverter(_GridFormingBase):
         return np.array([theta_star + internal_phase(op, self.X_q), 0.0])
 
     def energy(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        return omega0 * self.M * state[1] ** 2 / 2 + self._potential(state, theta, V, setpoint)
+        U_q, U_d = self._source(state, theta, V, setpoint).potential()
+        return omega0 * self.M * state[1] ** 2 / 2 + (U_q + U_d)
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        dU_ddelta, dU_dV = self._angle_gradient(state, theta, V, setpoint)
+        dU_ddelta, dU_dV = self._source(state, theta, V, setpoint).angle_gradient()
         return np.array([dU_ddelta, omega0 * self.M * state[1], -dU_ddelta, dU_dV])
 
     def energy_hessian(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        Ha = self._angle_hessian(state, theta, V, setpoint)
-        H = np.zeros((4, 4))
-        idx = np.array([0, 2, 3])  # delta, theta, V positions
-        H[np.ix_(idx, idx)] = Ha
+        H = self._source(state, theta, V, setpoint).hessian(4)
         H[1, 1] = omega0 * self.M
         return H
 
@@ -390,21 +393,17 @@ class VsgInverter(_GridFormingBase):
             [1.0 / self.M, self.D / (omega0 * self.M**2)],
         ])
 
-    def dissipation_rate(self, deriv, omega0=OMEGA0_DEFAULT):
-        return -self.D * deriv[0] ** 2 / omega0
 
-
+@dataclass(frozen=True, eq=False)
 class DroopInverter(_GridFormingBase):
     """Frequency droop control: first-order angle dynamics D*ddelta/dt = omega0 (P_m - P)."""
 
+    D: float
+    X_d: float
+    X_q: float
+
     kind = "fdc"
     state_names = ("delta",)
-
-    def __init__(self, D, X_d, X_q):
-        _require_positive(D=D, X_d=X_d, X_q=X_q)
-        self.D = D
-        self.X_d = X_d
-        self.X_q = X_q
 
     def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         P, _ = self.output_power(state, theta, V, setpoint)
@@ -414,22 +413,20 @@ class DroopInverter(_GridFormingBase):
         return np.array([theta_star + internal_phase(op, self.X_q)])
 
     def energy(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        return self._potential(state, theta, V, setpoint)
+        return sum(self._source(state, theta, V, setpoint).potential())
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        dU_ddelta, dU_dV = self._angle_gradient(state, theta, V, setpoint)
+        dU_ddelta, dU_dV = self._source(state, theta, V, setpoint).angle_gradient()
         return np.array([dU_ddelta, -dU_ddelta, dU_dV])
 
     def energy_hessian(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        return self._angle_hessian(state, theta, V, setpoint)
+        return self._source(state, theta, V, setpoint).hessian(3)
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
         return np.array([[omega0 / self.D]])
 
-    def dissipation_rate(self, deriv, omega0=OMEGA0_DEFAULT):
-        return -self.D * deriv[0] ** 2 / omega0
 
-
+@dataclass(frozen=True, eq=False)
 class ConstantPowerLoad(Device):
     """Grid-following load: consumes (P_ref, Q_ref) regardless of the bus voltage.
 
@@ -437,12 +434,14 @@ class ConstantPowerLoad(Device):
     has no internal state; its energy function is -P_ref*theta - Q_ref*ln(V).
     """
 
+    P_ref: float
+    Q_ref: float
+
     kind = "load"
     state_names = ()
 
-    def __init__(self, P_ref, Q_ref):
-        self.P_ref = float(P_ref)
-        self.Q_ref = float(Q_ref)
+    def __post_init__(self):
+        pass  # the references may take either sign
 
     def stationary_setpoint(self, op):
         return None
@@ -478,12 +477,8 @@ class ConstantPowerLoad(Device):
         return 0.0
 
 
-_DEVICE_FIELDS = {
-    "two_axis": (TwoAxisGenerator, ("M", "D", "tau_d", "tau_q", "X_d", "X_q", "X_d_prime", "X_q_prime")),
-    "vsg": (VsgInverter, ("M", "D", "X_d", "X_q")),
-    "fdc": (DroopInverter, ("D", "X_d", "X_q")),
-    "load": (ConstantPowerLoad, ("P_ref", "Q_ref")),
-}
+_DEVICE_FIELDS = {cls.kind: (cls, tuple(f.name for f in fields(cls)))
+                  for cls in (TwoAxisGenerator, VsgInverter, DroopInverter, ConstantPowerLoad)}
 
 
 def device_from_dict(doc):

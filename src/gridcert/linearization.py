@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import network_hessian
+from .devices import ConstantPowerLoad
+from .network import network_hessian
 from .system import Equilibrium, PowerSystem
 
 __all__ = [
@@ -52,9 +53,6 @@ class EnergyHessian:
     @property
     def vv(self):
         return self.matrix[self.n_states:, self.n_states:]
-
-    def reduced(self):
-        return kron_reduce(self.matrix, self.n_states)
 
 
 def _check_equilibrium(system: PowerSystem, eq: Equilibrium):
@@ -122,8 +120,6 @@ def factorized_voltage_block(system: PowerSystem, eq: Equilibrium):
     Two-axis machines connect through their transient reactances, inverters
     through their synchronous ones.
     """
-    from .devices import ConstantPowerLoad, TwoAxisGenerator
-
     n = system.n_bus
     theta = np.asarray(eq.flow.theta, dtype=float)
     V = np.asarray(eq.flow.V, dtype=float)
@@ -133,10 +129,7 @@ def factorized_voltage_block(system: PowerSystem, eq: Equilibrium):
     for i, dev in enumerate(system.devices):
         if isinstance(dev, ConstantPowerLoad):
             raise ValueError("factorized voltage block requires a voltage-source device at every bus")
-        if isinstance(dev, TwoAxisGenerator):
-            xq_eff, xd_eff = dev.X_q_prime, dev.X_d_prime
-        else:
-            xq_eff, xd_eff = dev.X_q, dev.X_d
+        xd_eff, xq_eff = dev.connection_reactances
         a = float(eq.states[i][0]) - theta[i]  # internal phase at equilibrium
         c, s = np.cos(a), np.sin(a)
         phi_cols[2 * i:2 * i + 2, 2 * i:2 * i + 2] = np.array([[V[i] * c, -s], [V[i] * s, c]])

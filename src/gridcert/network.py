@@ -6,7 +6,10 @@ All quantities are per-unit; angles are radians. Lines are purely reactive
     P_i = sum_j B_ij V_i V_j sin(theta_i - theta_j)
     Q_i = sum_j -B_ij V_i V_j cos(theta_i - theta_j)
 
-with B the (negated) weighted Laplacian of the line graph.
+with B the (negated) weighted Laplacian of the line graph. (P, Q/V) is the
+gradient of the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j)
+= sum(Q)/2, and `network_hessian` is its 2N x 2N Hessian over interleaved
+(theta_i, V_i); the Newton power-flow Jacobian is built from its blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "PowerFlowError",
     "build_susceptance",
     "power_balance",
+    "network_hessian",
     "power_flow_jacobian",
     "solve_power_flow",
     "normalize_angle",
@@ -131,55 +135,71 @@ class Network:
         return cls(n_bus=n_bus, lines=lines, B=build_susceptance(n_bus, lines))
 
 
+def _angle_terms(theta, V, B):
+    """cos(D), sin(D) and W = B * V V^T with D_ij = theta_i - theta_j; formed nowhere else."""
+    theta = np.asarray(theta, dtype=float)
+    V = np.asarray(V, dtype=float)
+    D = np.subtract.outer(theta, theta)
+    return np.cos(D), np.sin(D, out=D), B * np.outer(V, V)  # sin reuses D once cos has read it
+
+
 def power_balance(theta, V, net):
     """Evaluate the lossless power balance at every bus.
 
     Returns (P, Q) arrays. `net` may be a Network or a susceptance matrix.
     """
     B = net.B if isinstance(net, Network) else np.asarray(net)
-    theta = np.asarray(theta, dtype=float)
+    C, S, W = _angle_terms(theta, V, B)
+    S *= W  # in place: the n x n temporaries dominate the cost at large n
+    C *= W
+    return S.sum(axis=1), -C.sum(axis=1)
+
+
+def _hessian_blocks(theta, V, B):
+    """(theta, theta), (theta, V) and (V, V) blocks of the network energy Hessian."""
+    C, S, W = _angle_terms(theta, V, B)
     V = np.asarray(V, dtype=float)
-    D = np.subtract.outer(theta, theta)
-    W = B * np.outer(V, V)
-    P = (W * np.sin(D)).sum(axis=1)
-    Q = -(W * np.cos(D)).sum(axis=1)
-    return P, Q
+
+    tt = -W * C
+    np.fill_diagonal(tt, 0.0)
+    np.fill_diagonal(tt, -tt.sum(axis=1))
+
+    tv = B * S * V[:, None]
+    np.fill_diagonal(tv, (B * S * V[None, :]).sum(axis=1))
+
+    vv = -B * C
+    np.fill_diagonal(vv, -np.diag(B))
+    return tt, tv, vv
+
+
+def network_hessian(theta, V, B):
+    """2N x 2N Hessian of the network energy over interleaved (theta_i, V_i).
+
+    Built from the susceptance matrix and the voltage phasors alone; it is
+    the Jacobian of (P, Q/V), the transmission network's contribution to the
+    stability condition, and annihilates the uniform phase-shift direction.
+    """
+    tt, tv, vv = _hessian_blocks(theta, V, B)
+    n = tt.shape[0]
+    L = np.empty((2 * n, 2 * n))
+    L[0::2, 0::2] = tt
+    L[0::2, 1::2] = tv
+    L[1::2, 0::2] = tv.T
+    L[1::2, 1::2] = vv
+    return L
 
 
 def power_flow_jacobian(theta, V, B):
     """Full Jacobian of (P, Q) with respect to (theta, V), ordered block-wise.
 
     Rows are (P_1..P_N, Q_1..Q_N), columns (theta_1..theta_N, V_1..V_N).
+    With H the network Hessian, the Jacobian of (P, Q/V), it is
+    [[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]].
     """
-    theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
-    n = theta.size
-    D = np.subtract.outer(theta, theta)
-    C = np.cos(D)
-    S = np.sin(D)
-    W = B * np.outer(V, V)
-    P, Q = power_balance(theta, V, B)
-
-    dP_dth = -W * C
-    np.fill_diagonal(dP_dth, 0.0)
-    np.fill_diagonal(dP_dth, -dP_dth.sum(axis=1))
-
-    dP_dV = B * S * V[:, None]
-    np.fill_diagonal(dP_dV, P / V)
-
-    dQ_dth = -W * S
-    np.fill_diagonal(dQ_dth, 0.0)
-    np.fill_diagonal(dQ_dth, P)
-
-    dQ_dV = -B * C * V[:, None]
-    np.fill_diagonal(dQ_dV, Q / V - np.diag(B) * V)
-
-    J = np.empty((2 * n, 2 * n))
-    J[:n, :n] = dP_dth
-    J[:n, n:] = dP_dV
-    J[n:, :n] = dQ_dth
-    J[n:, n:] = dQ_dV
-    return J
+    tt, tv, vv = _hessian_blocks(theta, V, B)
+    _, Q = power_balance(theta, V, B)
+    return np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
 
 
 @dataclass(frozen=True)

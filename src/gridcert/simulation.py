@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import network_hessian
-from .network import power_balance
+from .network import network_hessian, power_balance
 from .system import Equilibrium, PowerSystem
 
 __all__ = [
@@ -123,8 +122,10 @@ def bregman_storage(system, eq: Equilibrium, states, v):
     theta_s = np.asarray(eq.flow.theta, dtype=float)
     V_s = np.asarray(eq.flow.V, dtype=float)
 
+    # the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j) is sum(Q)/2
+    _, Q_net = power_balance(theta, V, system.net)
     _, Q_net_s = power_balance(theta_s, V_s, system.net)
-    W = _network_energy(system, theta, V) - _network_energy(system, theta_s, V_s)
+    W = 0.5 * float(Q_net.sum() - Q_net_s.sum())
     # network gradient at the equilibrium: (P*, Q*/V*) per bus
     W -= float(np.dot(eq.flow.P, theta - theta_s) + np.dot(Q_net_s / V_s, V - V_s))
 
@@ -137,12 +138,6 @@ def bregman_storage(system, eq: Equilibrium, states, v):
         dz = np.concatenate([states[i] - xs, [theta[i] - theta_s[i], V[i] - V_s[i]]])
         W -= float(np.dot(gs, dz))
     return float(W)
-
-
-def _network_energy(system, theta, V):
-    D = np.subtract.outer(theta, theta)
-    W = system.net.B * np.outer(V, V)
-    return -0.5 * float((W * np.cos(D)).sum())
 
 
 def dissipation_rate(system, states, v, setpoints):

@@ -72,10 +72,7 @@ class Equilibrium:
 
     def x(self):
         """Concatenated device states, buses in order."""
-        if self.states:
-            parts = [np.asarray(s, dtype=float) for s in self.states]
-            return np.concatenate(parts) if parts else np.zeros(0)
-        return np.zeros(0)
+        return np.concatenate([np.zeros(0), *self.states])
 
     def v(self):
         """Bus variables interleaved as (theta_1, V_1, ..., theta_N, V_N)."""

@@ -203,6 +203,15 @@ class TestSweep:
         assert rows[0][3] == "infeasible"  # X_d = 0.01 < X_d' = 0.05
         assert rows[1][3] in ("stable", "unstable")
 
+    def test_load_bus_rejected_before_output(self, capsys, three_bus_path):
+        # in following mode bus 2 hosts a constant-power load: no reactances to sweep
+        code, out, err = run(capsys, ["sweep", "--config", three_bus_path, "--sweep-bus", "2",
+                                      "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2",
+                                      "--no-timestamp"])
+        assert code == 2
+        assert out == ""
+        assert "sweep bus must host a generator or grid-forming inverter" in err
+
     def test_deterministic_output_bytes(self, capsys, three_bus_path):
         argv = ["sweep", "--config", three_bus_path, "--sweep-bus", "3",
                 "--xd-range", "0.1:8:3", "--xq-range", "0.1:8:3", "--no-timestamp"]

@@ -165,16 +165,29 @@ class TestEnergy:
         load = gc.ConstantPowerLoad(P_ref=-1.0, Q_ref=0.0)
         assert load.energy(np.zeros(0), 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
-    def test_two_axis_gradient_finite_difference(self):
+    @pytest.mark.parametrize("kind", ["two_axis", "vsg", "fdc", "load"])
+    def test_gradient_finite_difference(self, kind):
         rng = np.random.default_rng(11)
         for _ in range(100):
             dev = random_two_axis(rng)
+            if kind == "vsg":
+                dev = gc.VsgInverter(M=dev.M, D=dev.D, X_d=dev.X_d, X_q=dev.X_q)
+            elif kind == "fdc":
+                dev = gc.DroopInverter(D=dev.D, X_d=dev.X_d, X_q=dev.X_q)
+            elif kind == "load":
+                dev = gc.ConstantPowerLoad(P_ref=float(rng.normal()), Q_ref=float(rng.normal()))
             sp = Setpoint(P_m=float(rng.normal()), V_fd=float(rng.uniform(0.9, 1.2)))
             z = np.array([rng.normal(0, 0.5), rng.normal(0, 0.02), rng.uniform(0.8, 1.2),
                           rng.normal(0, 0.2), rng.normal(0, 0.5), rng.uniform(0.85, 1.15)])
-            g = dev.energy_gradient(z[:4], z[4], z[5], sp, W0)
-            gfd = fd_gradient(lambda zz: dev.energy(zz[:4], zz[4], zz[5], sp, W0), z)
-            assert np.max(np.abs(g - gfd)) / max(1.0, np.max(np.abs(g))) < 1e-6
+            k = dev.n_states
+            z = np.concatenate([z[:k], z[4:]])  # (states..., theta, V)
+            g = dev.energy_gradient(z[:k], z[k], z[k + 1], sp, W0)
+            gfd = fd_gradient(lambda zz: dev.energy(zz[:k], zz[k], zz[k + 1], sp, W0), z)
+            scale = max(1.0, np.max(np.abs(g)))
+            assert np.max(np.abs(g - gfd)) / scale < 1e-6
+            # the voltage Newton takes the bus entries as the power mismatch (-P, -Q/V)
+            P, Q = dev.output_power(z[:k], z[k], z[k + 1], sp)
+            assert np.max(np.abs(g[k:] - [-P, -Q / z[k + 1]])) / scale < 1e-12
 
 
 class TestReducedStiffnessBlocks:
