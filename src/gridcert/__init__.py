@@ -27,6 +27,7 @@ from .devices import (
     DroopInverter,
     OperatingPoint,
     Setpoint,
+    StationaryStateError,
     TwoAxisGenerator,
     VsgInverter,
     internal_phase,

@@ -9,7 +9,6 @@ is suppressed with --no-timestamp. CSV files use 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import sys
@@ -22,8 +21,8 @@ from .config import ConfigError, apply_load_mode, load_config
 from .devices import CapabilityError, ConstantPowerLoad
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
-from .simulation import perturbed_state, simulate
-from .system import PowerSystem
+from .simulation import simulate
+from .sweep import sweep_verdicts
 
 __all__ = ["main"]
 
@@ -157,27 +156,6 @@ def _parse_range(text):
     return np.linspace(a, b, n)
 
 
-def _sweep_point(cfg, flow, bus_index, x_d, x_q):
-    devices = list(cfg.system.devices)
-    try:
-        devices[bus_index] = dataclasses.replace(devices[bus_index], X_d=x_d, X_q=x_q)
-    except ValueError:
-        return "infeasible", "infeasible", ""
-    system = PowerSystem(cfg.system.net, devices, cfg.system.omega0)
-    try:
-        report = certify(flow, system, bus_ids=cfg.bus_ids)
-        v_cert = report.verdict
-        min_eig = _fmt(report.min_eig) if report.min_eig is not None else ""
-    except (CapabilityError, CertificateError):
-        return "infeasible", "infeasible", ""
-    try:
-        eq = system.equilibrium(flow)
-        v_eig = eigenvalue_verdict(system, eq).verdict
-    except (CapabilityError, DegenerateEquilibriumError, ValueError, np.linalg.LinAlgError):
-        v_eig = "infeasible"
-    return v_cert, v_eig, min_eig
-
-
 def cmd_sweep(args):
     cfg = load_config(args.config)
     if args.sweep_bus not in cfg.bus_ids:
@@ -196,10 +174,10 @@ def cmd_sweep(args):
     buf.write("X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
     for mode, mode_cfg in zip(modes, mode_cfgs):
         flow = _solve(mode_cfg)
-        for x_d in xd_values:
-            for x_q in xq_values:
-                v_cert, v_eig, min_eig = _sweep_point(mode_cfg, flow, bus_index, x_d, x_q)
-                buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
+        for x_d, x_q, v_cert, v_eig, min_eig in sweep_verdicts(
+                mode_cfg.system, flow, bus_index, xd_values, xq_values):
+            min_eig = _fmt(min_eig) if min_eig is not None else ""
+            buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -29,6 +29,7 @@ __all__ = [
     "OperatingPoint",
     "Setpoint",
     "CapabilityError",
+    "StationaryStateError",
     "internal_phase",
     "stationary_setpoint",
     "reduced_stiffness_blocks",
@@ -70,6 +71,10 @@ class Setpoint:
 
 class CapabilityError(ValueError):
     """Operating point outside generator capability: Q + V^2/X_q must be positive."""
+
+
+class StationaryStateError(ValueError):
+    """A closed-form stationary state misses the zero-derivative condition beyond tolerance."""
 
 
 def internal_phase(op, X_q):
@@ -202,13 +207,14 @@ class Device:
     def stationary_state(self, theta_star, op, omega0=OMEGA0_DEFAULT):
         """Device state at equilibrium for bus angle `theta_star` and operating point `op`.
 
-        Verified against the zero-derivative post-condition before returning.
+        Verified against the zero-derivative post-condition before returning;
+        raises StationaryStateError if it fails.
         """
         setpoint = self.stationary_setpoint(op)
         state = self._stationary_state(theta_star, op, setpoint)
         deriv = self.state_derivative(state, theta_star, op.V, setpoint, omega0)
         if deriv.size and np.max(np.abs(deriv)) > _STATIONARY_TOL:
-            raise RuntimeError(
+            raise StationaryStateError(
                 f"{self.kind} stationary state residual {np.max(np.abs(deriv)):.3e} "
                 f"exceeds {_STATIONARY_TOL:.1e}"
             )

@@ -23,6 +23,7 @@ from .system import Equilibrium, PowerSystem
 
 __all__ = [
     "EIG_TOL",
+    "KRON_COND_LIMIT",
     "DegenerateEquilibriumError",
     "EnergyHessian",
     "assemble_energy_hessian",
@@ -35,6 +36,9 @@ __all__ = [
 
 #: Absolute tolerance on eigenvalue real parts for the stability verdict.
 EIG_TOL = 1e-7
+
+#: Largest condition number of the algebraic block that `kron_reduce` eliminates.
+KRON_COND_LIMIT = 1e12
 
 _EQUILIBRIUM_TOL = 1e-7
 
@@ -85,16 +89,24 @@ def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium, check=True):
     H = np.zeros((n_x + 2 * n, n_x + 2 * n))
     H[n_x:, n_x:] = network_hessian(eq.flow.theta, eq.flow.V, system.net.B)
     for i, dev in enumerate(system.devices):
-        k = dev.n_states
         Hd = dev.energy_hessian(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
                                 eq.setpoints[i], system.omega0)
-        sl = slices[i]
-        vc = slice(n_x + 2 * i, n_x + 2 * i + 2)
-        H[sl, sl] += Hd[:k, :k]
-        H[sl, vc] += Hd[:k, k:]
-        H[vc, sl] += Hd[k:, :k]
-        H[vc, vc] += Hd[k:, k:]
+        _add_device_block(H, Hd, slices[i], n_x + 2 * i)
     return EnergyHessian(matrix=H, n_states=n_x)
+
+
+def _add_device_block(H, Hd, states, bus_col):
+    """Add a device Hessian over (states..., theta, V) into the total energy Hessian.
+
+    `states` is the device's slice of the state coordinates and `bus_col` the
+    column of its bus theta. Works on one matrix or on a stack of them.
+    """
+    k = states.stop - states.start
+    bus = slice(bus_col, bus_col + 2)
+    H[..., states, states] += Hd[..., :k, :k]
+    H[..., states, bus] += Hd[..., :k, k:]
+    H[..., bus, states] += Hd[..., k:, :k]
+    H[..., bus, bus] += Hd[..., k:, k:]
 
 
 def damping_matrix(system: PowerSystem):
@@ -140,7 +152,7 @@ def factorized_voltage_block(system: PowerSystem, eq: Equilibrium):
     return phi_cols.T @ (react[:, None] * phi_cols) + theta_cols.T @ minus_b_kron @ theta_cols
 
 
-def kron_reduce(H, n_keep, cond_limit=1e12):
+def kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
     """Schur complement of a symmetric matrix onto its first `n_keep` coordinates.
 
     Eliminates the trailing (algebraic) block; errors out if that block is

@@ -6,6 +6,8 @@ and random operating points are built by evaluating the power balance at
 sampled voltages so they satisfy it by construction.
 """
 
+import dataclasses
+
 import numpy as np
 
 import gridcert as gc
@@ -145,6 +147,32 @@ def verdict_margins(report, eig_report):
     rest = [ev for ev in eig_report.eigenvalues if ev != eig_report.zero_eigenvalue]
     eig_margin = min((abs(ev.real) for ev in rest), default=np.inf)
     return min(cert_vals), eig_margin
+
+
+def sweep_point(cfg, flow, bus_index, x_d, x_q):
+    """One sweep point evaluated on its own: (certificate verdict, eigen verdict, min_eig text).
+
+    Rebuilds the swept device and the system, then runs the full `certify`
+    and `eigenvalue_verdict`; the reference the batched sweep must equal.
+    """
+    devices = list(cfg.system.devices)
+    try:
+        devices[bus_index] = dataclasses.replace(devices[bus_index], X_d=x_d, X_q=x_q)
+    except ValueError:
+        return "infeasible", "infeasible", ""
+    system = gc.PowerSystem(cfg.system.net, devices, cfg.system.omega0)
+    try:
+        report = gc.certify(flow, system, bus_ids=cfg.bus_ids)
+        v_cert = report.verdict
+        min_eig = f"{report.min_eig:.12g}" if report.min_eig is not None else ""
+    except (gc.CapabilityError, gc.CertificateError):
+        return "infeasible", "infeasible", ""
+    try:
+        eq = system.equilibrium(flow)
+        v_eig = gc.eigenvalue_verdict(system, eq).verdict
+    except (gc.CapabilityError, gc.DegenerateEquilibriumError, ValueError, np.linalg.LinAlgError):
+        v_eig = "infeasible"
+    return v_cert, v_eig, min_eig
 
 
 def three_bus_doc(x3=(0.1, 0.069), M=0.2, D=1.0, tau_d=5.0, tau_q=1.0,

@@ -6,7 +6,12 @@ import pytest
 import gridcert as gc
 from gridcert.cli import main
 
-from _oracles import TABLE1, three_bus_doc
+from _oracles import TABLE1, sweep_point, three_bus_doc
+
+FIXTURE = str(gc.fixture_path("three_bus.json"))
+
+# bus 3's reactances where the closed-form VSG stationary state misses its 1e-10 residual bound
+STATIONARY_FAILURE_X3 = (1e-6, 5e5)
 
 
 @pytest.fixture
@@ -132,6 +137,13 @@ class TestEigen:
         code_cert, _, _ = run(capsys, ["certify", "--config", path, "--load-mode", "following"])
         assert code_eig == code_cert == 1
 
+    def test_stationary_state_failure_exits_2(self, capsys, tmp_path):
+        path = write_config(tmp_path, three_bus_doc(x3=STATIONARY_FAILURE_X3))
+        code, out, err = run(capsys, ["eigen", "--config", path, "--no-timestamp"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: vsg stationary state residual")
+
 
 class TestSimulate:
     def test_trajectory_csv_shape(self, capsys, tmp_path):
@@ -157,6 +169,14 @@ class TestSimulate:
                 assert r[8] == "" and r[9] == ""
         t = np.array([float(r[0]) for r in rows[::3]])
         assert np.all(np.diff(t) > 0)
+
+    def test_stationary_state_failure_exits_2(self, capsys, tmp_path):
+        path = write_config(tmp_path, three_bus_doc(x3=STATIONARY_FAILURE_X3))
+        code, out, err = run(capsys, ["simulate", "--config", path, "--t-end", "0.01",
+                                      "--no-timestamp"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: vsg stationary state residual")
 
     def test_unknown_perturb_bus_rejected(self, capsys, three_bus_path):
         code, _, err = run(capsys, ["simulate", "--config", three_bus_path,
@@ -225,10 +245,75 @@ class TestSweep:
                                  "--load-mode", "forming"])
         assert out.splitlines()[0].startswith("# generated ")
 
-    def test_parallelism_cap_respected(self, capsys, three_bus_path, monkeypatch):
+    def test_threads_variable_ignored(self, capsys, three_bus_path, monkeypatch):
+        argv = ["sweep", "--config", three_bus_path, "--sweep-bus", "3",
+                "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2", "--no-timestamp"]
+        monkeypatch.delenv("GRIDCERT_THREADS", raising=False)
+        code, out, _ = run(capsys, argv)
         monkeypatch.setenv("GRIDCERT_THREADS", "1")
-        code, out, _ = run(capsys, ["sweep", "--config", three_bus_path, "--sweep-bus", "3",
-                                    "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2",
-                                    "--no-timestamp"])
-        assert code == 0
+        code_1, out_1, _ = run(capsys, argv)
+        assert code == code_1 == 0
         assert len(out.strip().splitlines()) == 9
+        assert out_1 == out
+
+    def test_stationary_state_failure_is_infeasible(self, capsys):
+        x_d, x_q = STATIONARY_FAILURE_X3
+        code, out, err = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
+                                      "--xd-range", f"{x_d}:{x_d}:1", "--xq-range", f"{x_q}:{x_q}:1",
+                                      "--load-mode", "forming", "--no-timestamp"])
+        assert code == 0
+        assert err == ""
+        row = out.strip().splitlines()[1].split(",")
+        assert row[3:5] == ["stable", "infeasible"]  # certify needs no equilibrium
+        assert float(row[5]) == pytest.approx(5.92209511286, rel=1e-11)
+
+    # (bus 2 device or None for the fixture's, sweep bus, load modes, X_d range, X_q range,
+    #  row kinds the grid must produce)
+    ORACLE_GRIDS = {
+        "bus3": (None, 3, ["forming", "following"], (0.1, 12, 12), (0.1, 12, 12),
+                 {"stable", "unstable"}),
+        # X_d below X_d' = 0.05 cannot build the two-axis machine, whose damping block
+        # depends on X_d
+        "bus1-two-axis": (None, 1, ["forming", "following"], (0.01, 0.2, 6), (0.069, 0.069, 1),
+                          {"infeasible", "stable"}),
+        "bus2-forming": (None, 2, ["forming"], (0.01, 50, 30), (0.01, 1.98, 30),
+                         {"infeasible", "gamma", "unstable", "stable"}),
+        # bus 2's own synchronizing coefficient is negative, whatever bus 3's reactances
+        "bus3-bus2-decides": ({"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 50.0, "X_q": 1.9},
+                              3, ["forming"], (0.1, 12, 4), (0.1, 12, 4), {"gamma"}),
+    }
+
+    @pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+    def test_rows_equal_per_point_oracle(self, capsys, tmp_path, grid):
+        bus2_device, bus_id, modes, xd, xq, kinds = self.ORACLE_GRIDS[grid]
+        config = FIXTURE
+        if bus2_device is not None:
+            doc = three_bus_doc()
+            doc["buses"][1]["device"] = bus2_device
+            config = write_config(tmp_path, doc)
+        argv = ["sweep", "--config", config, "--sweep-bus", str(bus_id),
+                "--xd-range", "{}:{}:{}".format(*xd), "--xq-range", "{}:{}:{}".format(*xq),
+                "--no-timestamp"]
+        if len(modes) == 1:
+            argv += ["--load-mode", modes[0]]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+
+        expected = []
+        for mode in modes:
+            cfg = gc.apply_load_mode(gc.load_config(config), mode)
+            flow = gc.solve_power_flow(cfg.system.net, cfg.bus_specs)
+            bus_index = cfg.bus_ids.index(bus_id)
+            for x_d in np.linspace(*xd):
+                for x_q in np.linspace(*xq):
+                    row = sweep_point(cfg, flow, bus_index, x_d, x_q)
+                    expected.append(f"{x_d:.12g},{x_q:.12g},{mode}," + ",".join(row))
+        rows = out.splitlines()[1:]
+        assert rows == expected
+
+        def kind(row):
+            v_cert, v_eig, min_eig = row.split(",")[3:]
+            if v_cert == "infeasible":
+                return v_cert
+            return v_eig if min_eig else "gamma"  # no min_eig: a coefficient decided
+        assert {kind(row) for row in rows} == kinds
