@@ -132,7 +132,9 @@ class _Source:
     and the reactances store U = (V_d - E_d)^2/(2 x_q) + (E_q - V_q)^2/(2 x_d).
     The two-axis machine passes its states (E_q, E_d) and transient
     reactances, the grid-forming inverters (V_fd, 0) and their synchronous
-    ones. Phasor and currents are evaluated once, on construction.
+    ones. Phasor and currents are evaluated once, on construction; the
+    voltage Newton takes its gradient, Hessian block, residual and the state
+    derivative from one source per device and iterate.
     """
 
     __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q")
@@ -159,22 +161,63 @@ class _Source:
         """(dU/ddelta, dU/dV); dU/dtheta is the negation of dU/ddelta."""
         return self.I_q * self.vq + self.I_d * self.vd, self.I_q * self.s - self.I_d * self.c
 
+    def bus_gradient(self):
+        """(dU/dtheta, dU/dV): the source's term in the voltage Newton residual."""
+        dU_ddelta, dU_dV = self.angle_gradient()
+        return -dU_ddelta, dU_dV
+
+    def second_derivatives(self):
+        """(d2U/ddelta2, d2U/ddelta dV, d2U/dV2).
+
+        Since U depends on delta and theta only through a = delta - theta,
+        these give every entry of the Hessian over (delta, theta, V).
+        """
+        c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
+        h_dd = vq**2 / x_q + vd**2 / x_d + self.I_d * vq - self.I_q * vd
+        h_dV = s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s
+        return h_dd, h_dV, s**2 / x_q + c**2 / x_d
+
+    def bus_block(self):
+        """2x2 Hessian of U over the bus's (theta, V)."""
+        h_dd, h_dV, h_VV = self.second_derivatives()
+        return np.array([[h_dd, -h_dV], [-h_dV, h_VV]])
+
     def hessian(self, size):
         """size x size matrix holding the Hessian of U over (delta, theta, V).
 
         Delta is the first coordinate, theta and V the last two; entries for
         any coordinates in between are left zero.
         """
-        c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
-        h_dd = vq**2 / x_q + vd**2 / x_d + self.I_d * vq - self.I_q * vd
-        h_dV = s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s
+        h_dd, h_dV, h_VV = self.second_derivatives()
         H = np.zeros((size, size))
         H[0, 0] = H[-2, -2] = h_dd
         H[0, -2] = H[-2, 0] = -h_dd
         H[0, -1] = H[-1, 0] = h_dV
         H[-2, -1] = H[-1, -2] = -h_dV
-        H[-1, -1] = s**2 / x_q + c**2 / x_d
+        H[-1, -1] = h_VV
         return H
+
+
+class _ConstantPower:
+    """A constant-power load seen from its bus, with the bus methods of `_Source`.
+
+    Its energy is -P theta - Q ln V, so it adds (-P, -Q/V) to the voltage
+    Newton residual and Q/V^2 to the (V, V) entry of its Hessian.
+    """
+
+    __slots__ = ("P", "Q", "V")
+
+    def __init__(self, P, Q, V):
+        self.P, self.Q, self.V = P, Q, V
+
+    def power(self):
+        return self.P, self.Q
+
+    def bus_gradient(self):
+        return -self.P, -self.Q / self.V
+
+    def bus_block(self):
+        return np.array([[0.0, 0.0], [0.0, self.Q / self.V**2]])
 
 
 class Device:
@@ -223,15 +266,19 @@ class Device:
     def output_power(self, state, theta, V, setpoint=None):
         return self._source(state, theta, V, setpoint).power()
 
+    def state_derivative(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
+        src = self._source(state, theta, V, setpoint)
+        return self._state_derivative(state, src, setpoint, omega0)
+
     # subclasses implement:
+    #   _source(state, theta, V, setpoint) -> _Source or _ConstantPower
+    #   _state_derivative(state, src, setpoint, omega0) -> ndarray, src from _source
     #   _stationary_state(theta_star, op, setpoint) -> ndarray
-    #   state_derivative(state, theta, V, setpoint, omega0) -> ndarray
     #   energy(state, theta, V, setpoint, omega0) -> float
     #   energy_gradient(state, theta, V, setpoint, omega0) -> ndarray
     #   energy_hessian(state, theta, V, setpoint, omega0) -> ndarray
     #   damping_block(omega0) -> ndarray over internal states
     #   dissipation_rate(deriv, omega0) -> float
-    # and either _source(state, theta, V, setpoint) -> _Source or output_power.
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +320,7 @@ class TwoAxisGenerator(Device):
     def _source(self, state, theta, V, setpoint=None):
         return _Source(state[0] - theta, V, state[2], state[3], *self.connection_reactances)
 
-    def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        src = self._source(state, theta, V, setpoint)
+    def _state_derivative(self, state, src, setpoint, omega0):
         P, _ = src.power()
         return np.array([
             omega0 * state[1],
@@ -370,8 +416,8 @@ class VsgInverter(_GridFormingBase):
     kind = "vsg"
     state_names = ("delta", "omega")
 
-    def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        P, _ = self.output_power(state, theta, V, setpoint)
+    def _state_derivative(self, state, src, setpoint, omega0):
+        P, _ = src.power()
         return np.array([
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
@@ -411,8 +457,8 @@ class DroopInverter(_GridFormingBase):
     kind = "fdc"
     state_names = ("delta",)
 
-    def state_derivative(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        P, _ = self.output_power(state, theta, V, setpoint)
+    def _state_derivative(self, state, src, setpoint, omega0):
+        P, _ = src.power()
         return np.array([omega0 * (setpoint.P_m - P) / self.D])
 
     def _stationary_state(self, theta_star, op, setpoint):
@@ -461,20 +507,20 @@ class ConstantPowerLoad(Device):
             )
         return np.zeros(0)
 
-    def output_power(self, state, theta, V, setpoint=None):
-        return self.P_ref, self.Q_ref
+    def _source(self, state, theta, V, setpoint=None):
+        return _ConstantPower(self.P_ref, self.Q_ref, V)
 
-    def state_derivative(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
+    def _state_derivative(self, state, src, setpoint, omega0):
         return np.zeros(0)
 
     def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         return -self.P_ref * theta - self.Q_ref * math.log(V)
 
     def energy_gradient(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        return np.array([-self.P_ref, -self.Q_ref / V])
+        return np.array(self._source(state, theta, V).bus_gradient())
 
     def energy_hessian(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        return np.array([[0.0, 0.0], [0.0, self.Q_ref / V**2]])
+        return self._source(state, theta, V).bus_block()
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
         return np.zeros((0, 0))

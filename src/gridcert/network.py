@@ -155,9 +155,14 @@ def power_balance(theta, V, net):
     return S.sum(axis=1), -C.sum(axis=1)
 
 
-def _hessian_blocks(theta, V, B):
+def _balance(C, S, W):
+    """(P, Q) from `_angle_terms` as `power_balance` forms them, leaving the terms intact."""
+    return (S * W).sum(axis=1), -(C * W).sum(axis=1)
+
+
+def _hessian_blocks(theta, V, B, terms=None):
     """(theta, theta), (theta, V) and (V, V) blocks of the network energy Hessian."""
-    C, S, W = _angle_terms(theta, V, B)
+    C, S, W = _angle_terms(theta, V, B) if terms is None else terms
     V = np.asarray(V, dtype=float)
 
     tt = -W * C
@@ -172,14 +177,16 @@ def _hessian_blocks(theta, V, B):
     return tt, tv, vv
 
 
-def network_hessian(theta, V, B):
+def network_hessian(theta, V, B, terms=None):
     """2N x 2N Hessian of the network energy over interleaved (theta_i, V_i).
 
     Built from the susceptance matrix and the voltage phasors alone; it is
     the Jacobian of (P, Q/V), the transmission network's contribution to the
     stability condition, and annihilates the uniform phase-shift direction.
+    A caller that already holds `_angle_terms(theta, V, B)` passes it as
+    `terms`, so the cosines and sines are not formed again.
     """
-    tt, tv, vv = _hessian_blocks(theta, V, B)
+    tt, tv, vv = _hessian_blocks(theta, V, B, terms)
     n = tt.shape[0]
     L = np.empty((2 * n, 2 * n))
     L[0::2, 0::2] = tt

@@ -20,6 +20,7 @@ those of evaluating the points one at a time.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -48,8 +49,11 @@ def sweep_verdicts(system, flow, bus, xd_values, xq_values):
     None where the certificate stops at a synchronizing coefficient. A point
     is infeasible under both verdicts where its device cannot be built, an
     operating point leaves a capability region or the flow fails certify's
-    balance check; under the eigenvalue verdict alone where the equilibrium
-    cannot be built or Kron-reduced or the spectrum has no single zero mode.
+    balance check; under the certificate verdict alone where the swept bus's
+    synchronizing coefficient or (V, V) stiffness is not finite or LAPACK
+    rejects the condition matrix; under the eigenvalue verdict alone where the
+    equilibrium cannot be built or Kron-reduced or the spectrum has no single
+    zero mode.
     A non-positive bus voltage in `flow` raises ValueError.
     """
     if isinstance(system.devices[bus], ConstantPowerLoad):
@@ -143,9 +147,15 @@ class _FlowInvariants:
                 continue
             worst = min(gamma, self.gamma)
             v_cert = "unstable" if worst < -CERT_TOL else "marginal" if worst <= CERT_TOL else None
-            if v_cert is None:
-                cert.append(k)
-                stiffness.append(bus_stiffness_block(self.op, dev.X_d, dev.X_q)[1, 1])
+            if not math.isfinite(gamma):  # an extreme reactance overflows the closed form
+                v_cert = "infeasible"
+            elif v_cert is None:
+                s_vv = bus_stiffness_block(self.op, dev.X_d, dev.X_q)[1, 1]
+                if math.isfinite(s_vv):
+                    cert.append(k)
+                    stiffness.append(s_vv)
+                else:
+                    v_cert = "infeasible"
             blocks = (_device_blocks(dev, self.theta, self.op, self.omega0)
                       if self.equilibrium else None)
             if blocks is None:
@@ -159,8 +169,13 @@ class _FlowInvariants:
         if cert:
             M = np.repeat(self.M[None], len(cert), axis=0)
             M[:, self.vv, self.vv] = self.nh_vv + np.array(stiffness)
-            min_eigs = np.linalg.eigh(self.Z.T @ M @ self.Z)[0][:, 0].tolist()
-            for k, min_eig in zip(cert, min_eigs):
+            A = self.Z.T @ M @ self.Z
+            # eigh, not eigvalsh: only eigh gives certify's min_eig to the last digit
+            spectra = _stacked(lambda a: np.linalg.eigh(a)[0], A, np.full(A.shape[-1], np.nan))
+            for k, min_eig in zip(cert, spectra[:, 0].tolist()):
+                if not math.isfinite(min_eig):  # LAPACK rejected the matrix
+                    out[k][0] = "infeasible"
+                    continue
                 out[k][0] = ("stable" if min_eig > CERT_TOL
                              else "marginal" if min_eig >= -CERT_TOL else "unstable")
                 out[k][2] = min_eig
@@ -177,16 +192,14 @@ class _FlowInvariants:
 def _device_blocks(dev, theta, op, omega0):
     """Energy Hessian and damping block of a device at its stationary state.
 
-    None where `PowerSystem.equilibrium` or the equilibrium check of
-    `assemble_energy_hessian` would raise.
+    None where `PowerSystem.equilibrium` would raise. The equilibrium check of
+    `assemble_energy_hessian` cannot fail after it: `stationary_state` has
+    already held the same state derivative to a tighter tolerance.
     """
     try:
         setpoint = dev.stationary_setpoint(op)
         state = dev.stationary_state(theta, op, omega0)
     except ValueError:  # capability, stationary residual, or a load the flow does not match
-        return None
-    d = dev.state_derivative(state, theta, op.V, setpoint, omega0)
-    if d.size and float(np.max(np.abs(d))) > _EQUILIBRIUM_TOL:
         return None
     return dev.energy_hessian(state, theta, op.V, setpoint, omega0), dev.damping_block(omega0)
 
@@ -199,8 +212,11 @@ def _eigen_verdicts(H, R, n_x):
     """
     verdicts = ["infeasible"] * len(H)
     Hvv = H[:, n_x:, n_x:]
-    cond = _stacked(np.linalg.cond, Hvv, np.nan)
-    keep = np.flatnonzero(np.isfinite(cond) & (cond <= KRON_COND_LIMIT))
+    # a non-finite H_vv has no finite condition number, and LAPACK prints errors on some
+    keep = np.flatnonzero(np.isfinite(Hvv).all(axis=(1, 2)))
+    if keep.size:
+        cond = _stacked(np.linalg.cond, Hvv[keep], np.nan)
+        keep = keep[np.isfinite(cond) & (cond <= KRON_COND_LIMIT)]
     if not keep.size:
         return verdicts
     Hxv = H[keep, :n_x, n_x:]

@@ -12,6 +12,7 @@ import numpy as np
 
 import gridcert as gc
 from gridcert.linearization import assemble_energy_hessian
+from gridcert.simulation import algebraic_residual
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -173,6 +174,92 @@ def sweep_point(cfg, flow, bus_index, x_d, x_q):
     except (gc.CapabilityError, gc.DegenerateEquilibriumError, ValueError, np.linalg.LinAlgError):
         v_eig = "infeasible"
     return v_cert, v_eig, min_eig
+
+
+def solve_bus_voltages_reference(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
+    """`solve_bus_voltages` with each piece of an iterate evaluated on its own.
+
+    The gradient comes from `power_balance` and each device's
+    `energy_gradient`, the Hessian from `network_hessian` and each device's
+    `energy_hessian`, the post-check from `algebraic_residual`. The reference
+    the simulator's single evaluation per iterate must equal bit for bit.
+    """
+    v = np.array(v_guess, dtype=float)
+    for _ in range(max_iter):
+        if np.any(v[1::2] <= 0) or not np.all(np.isfinite(v)):
+            raise gc.AlgebraicSolveError("bus voltage iterate left the feasible region")
+        theta, V = v[0::2], v[1::2]
+        P_net, Q_net = gc.power_balance(theta, V, system.net)
+        g = np.empty_like(v)
+        g[0::2] = P_net
+        g[1::2] = Q_net / V
+        H = gc.network_hessian(theta, V, system.net.B)
+        for i, dev in enumerate(system.devices):
+            args = (states[i], theta[i], V[i], setpoints[i], system.omega0)
+            g[2 * i:2 * i + 2] += dev.energy_gradient(*args)[-2:]
+            H[2 * i:2 * i + 2, 2 * i:2 * i + 2] += dev.energy_hessian(*args)[-2:, -2:]
+        if np.max(np.abs(g)) <= 0.1 * tol:
+            break
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError as exc:
+            raise gc.AlgebraicSolveError("singular voltage Jacobian") from exc
+        v = v - step
+    else:
+        raise gc.AlgebraicSolveError(
+            f"voltage Newton did not converge in {max_iter} iterations "
+            f"(residual {np.max(np.abs(g)):.3e})"
+        )
+    res = algebraic_residual(system, states, v, setpoints)
+    if res > tol:
+        raise gc.AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {tol:.1e}")
+    return v
+
+
+def simulate_reference(system, eq, x0=None, dt=1e-3, t_end=1.0, record_every=1):
+    """`simulate` as one RK4 loop over the public per-stage pieces.
+
+    Every stage, the first included, re-solves the bus voltages with
+    `solve_bus_voltages` and takes the derivative from each device's
+    `state_derivative`; samples are recorded with `bregman_storage`. The
+    reference the simulator's trajectories must equal bit for bit.
+    """
+    setpoints = eq.setpoints
+    slices = system.state_slices()
+    x = np.array(x0 if x0 is not None else eq.x(), dtype=float)
+    n_steps = int(round(t_end / dt))
+
+    def rhs(x_stage, v_warm):
+        states = [x_stage[sl] for sl in slices]
+        v_stage = gc.solve_bus_voltages(system, states, v_warm, setpoints)
+        parts = [dev.state_derivative(states[i], v_stage[2 * i], v_stage[2 * i + 1],
+                                      setpoints[i], system.omega0)
+                 for i, dev in enumerate(system.devices)]
+        return np.concatenate(parts), v_stage
+
+    v = gc.solve_bus_voltages(system, x, eq.v(), setpoints)
+    ts, xs, vs = [0.0], [x.copy()], [v.copy()]
+    Ws = [gc.bregman_storage(system, eq, x, v)]
+    truncated, diagnostic = False, None
+    for k in range(n_steps):
+        try:
+            k1, v1 = rhs(x, v)
+            k2, v2 = rhs(x + 0.5 * dt * k1, v1)
+            k3, v3 = rhs(x + 0.5 * dt * k2, v2)
+            k4, v4 = rhs(x + dt * k3, v3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            v = gc.solve_bus_voltages(system, x, v4, setpoints)
+        except gc.AlgebraicSolveError as exc:
+            truncated = True
+            diagnostic = f"truncated at t={ts[-1]:.6g}s: {exc}"
+            break
+        if (k + 1) % record_every == 0 or k == n_steps - 1:
+            ts.append((k + 1) * dt)
+            xs.append(x.copy())
+            vs.append(v.copy())
+            Ws.append(gc.bregman_storage(system, eq, x, v))
+    return gc.Trajectory(t=np.array(ts), x=np.array(xs), v=np.array(vs), W=np.array(Ws),
+                         truncated=truncated, diagnostic=diagnostic)
 
 
 def three_bus_doc(x3=(0.1, 0.069), M=0.2, D=1.0, tau_d=5.0, tau_q=1.0,

@@ -267,6 +267,17 @@ class TestSweep:
         assert row[3:5] == ["stable", "infeasible"]  # certify needs no equilibrium
         assert float(row[5]) == pytest.approx(5.92209511286, rel=1e-11)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_point_keeps_the_sweep(self, capsys):
+        # at a subnormal X_d the swept bus's closed forms overflow
+        code, out, _ = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
+                                    "--xd-range", "1e-320:0.1:2", "--xq-range", "0.069:0.069:1",
+                                    "--load-mode", "forming", "--no-timestamp"])
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert rows[0].split(",")[3:] == ["infeasible", "infeasible", ""]
+        assert rows[1] == "0.1,0.069,forming,stable,stable,9.15253963684"
+
     # (bus 2 device or None for the fixture's, sweep bus, load modes, X_d range, X_q range,
     #  row kinds the grid must produce)
     ORACLE_GRIDS = {

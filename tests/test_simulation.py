@@ -13,7 +13,13 @@ from gridcert.simulation import (
 )
 from gridcert.linearization import assemble_energy_hessian
 
-from _oracles import solved, three_bus_doc
+from _oracles import (
+    random_system,
+    simulate_reference,
+    solve_bus_voltages_reference,
+    solved,
+    three_bus_doc,
+)
 
 
 def fast_three_bus(x3=(0.1, 0.069), mode=None, kind1="vsg"):
@@ -59,6 +65,80 @@ class TestVoltageSolve:
         x[0] += 40.0  # hopeless rotor angle
         with pytest.raises(AlgebraicSolveError):
             solve_bus_voltages(system, x, eq.v(), eq.setpoints, max_iter=8)
+
+
+def fixture_system(mode):
+    cfg = gc.apply_load_mode(gc.load_config(gc.fixture_path("three_bus.json")), mode)
+    flow = solved(cfg)
+    return cfg.system, cfg.system.equilibrium(flow)
+
+
+def two_axis_and_load_system():
+    """First random 4-bus draw holding a two-axis machine and a constant-power load.
+
+    With this seed it holds one device of every kind.
+    """
+    rng = np.random.default_rng(0)
+    while True:
+        draw = random_system(rng, angle_scale=0.1, n_bus=4)
+        if draw is None:
+            continue
+        system, flow = draw
+        kinds = {dev.kind for dev in system.devices}
+        if {"two_axis", "load"} <= kinds:
+            return system, system.equilibrium(flow)
+
+
+class TestReferenceEquality:
+    """The simulator equals the per-stage reference loops bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["forming", "following"])
+    def test_voltage_solve_equals_reference(self, mode):
+        rng = np.random.default_rng(7)
+        system, eq = fixture_system(mode)
+        slices = system.state_slices()
+        for _ in range(5):
+            x = eq.x() + rng.normal(0, 0.02, system.n_states)
+            states = [x[sl] for sl in slices]
+            v = solve_bus_voltages(system, states, eq.v(), eq.setpoints)
+            ref = solve_bus_voltages_reference(system, states, eq.v(), eq.setpoints)
+            assert np.array_equal(v, ref)
+
+    def test_voltage_solve_failure_equals_reference(self):
+        system, eq = fast_three_bus()
+        x = eq.x().copy()
+        x[0] += 40.0
+        states = [x[sl] for sl in system.state_slices()]
+        errors = []
+        for solve in (solve_bus_voltages, solve_bus_voltages_reference):
+            with pytest.raises(AlgebraicSolveError) as info:
+                solve(system, states, eq.v(), eq.setpoints, max_iter=8)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("case", ["forming", "following", "two_axis_load", "record_every",
+                                      "truncated"])
+    def test_trajectory_equals_reference(self, case):
+        kwargs = dict(dt=1e-3, t_end=0.1)
+        if case in ("forming", "following", "record_every"):
+            system, eq = fixture_system("following" if case == "following" else "forming")
+            x0 = perturbed_state(eq, 0, 0.05)
+            if case == "record_every":
+                kwargs.update(t_end=0.2, record_every=7)  # 200 steps: the last sample is partial
+        elif case == "two_axis_load":
+            system, eq = two_axis_and_load_system()
+            bus = next(i for i, dev in enumerate(system.devices) if dev.kind == "two_axis")
+            x0 = perturbed_state(eq, bus, 0.05)
+        else:
+            system, eq = fast_three_bus(x3=(4.0, 4.0), mode="following")
+            x0 = perturbed_state(eq, 2, 0.05)
+            kwargs.update(dt=5e-3, t_end=4.0)
+        traj = simulate(system, eq, x0=x0, **kwargs)
+        ref = simulate_reference(system, eq, x0=x0, **kwargs)
+        for name in ("t", "x", "v", "W"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        assert (traj.truncated, traj.diagnostic) == (ref.truncated, ref.diagnostic)
+        assert traj.truncated == (case == "truncated")
 
 
 class TestSimulate:

@@ -4,10 +4,13 @@ Byte equality of whole sweeps with the per-point oracle is tested in
 test_cli.py; these tests cover what those grids cannot reach.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
 from gridcert.linearization import (
     KRON_COND_LIMIT,
     assemble_energy_hessian,
@@ -84,3 +87,57 @@ def test_load_bus_rejected(fixture_cfg):
     cfg = gc.apply_load_mode(fixture_cfg, "following")
     with pytest.raises(ValueError, match="sweep bus"):
         next(sweep_verdicts(cfg.system, solved(cfg), 1, [0.1], [0.1]))
+
+
+def test_overflowing_closed_forms_are_certificate_infeasible(fixture_cfg, monkeypatch):
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    flow = solved(cfg)
+    op = cfg.system.operating_point(flow, 2)
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(synchronizing_coefficient(op, 1e-320, 0.069))
+        assert math.isfinite(synchronizing_coefficient(op, 1e-299, 1e-10))
+        assert not math.isfinite(bus_stiffness_block(op, 1e-299, 1e-10)[1, 1])
+    finite_inputs = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        finite_inputs.append(bool(np.isfinite(a).all()))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    with np.errstate(all="ignore"):
+        gamma_row = list(sweep_verdicts(cfg.system, flow, 2, [1e-320], [0.069]))
+        stiffness_row = list(sweep_verdicts(cfg.system, flow, 2, [1e-299], [1e-10, 0.069]))
+    # the verdict does not wait for LAPACK to fail: only (1e-299, 0.069) reaches eigh
+    assert finite_inputs == [True]
+    for point in (gamma_row[0], stiffness_row[0]):
+        assert point[2] == "infeasible" and point[4] is None
+    assert stiffness_row[1][2] in ("stable", "unstable")
+
+
+@pytest.mark.parametrize("name, column", [("eigh", 2), ("cond", 3)])
+def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, column):
+    # eigh takes the certificate's condition matrices, cond the Kron blocks H_vv
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    flow = solved(cfg)
+    grid = ([0.1, 4.0], [0.069, 4.0])
+    expected = list(sweep_verdicts(cfg.system, flow, 2, *grid))
+    assert all(row[2] in ("stable", "unstable") for row in expected)
+    assert all(row[3] in ("stable", "unstable") for row in expected)
+    original = getattr(np.linalg, name)
+    calls = []
+
+    def fussy(a):  # rejects every stack, and the first matrix redone on its own
+        calls.append(a.ndim)
+        if a.ndim == 3 or calls.count(2) == 1:
+            raise np.linalg.LinAlgError("rejected")
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, name, fussy)
+    rows = list(sweep_verdicts(cfg.system, flow, 2, *grid))
+    first = list(expected[0])
+    first[column] = "infeasible"
+    if name == "eigh":
+        first[4] = None
+    assert rows[0] == tuple(first)
+    assert rows[1:] == expected[1:]
