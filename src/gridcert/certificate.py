@@ -11,7 +11,9 @@ synchronous reactances and the network susceptance matrix:
 
 Verdicts are stable / unstable / marginal; the rotational zero mode is
 deflated by projection before the eigenvalue test so it cannot mask genuine
-negative modes.
+negative modes. Each decision of the test is made by one kernel on a stack of
+points, which `certify` runs on a stack of one and the reactance sweep on a
+grid row; a point a kernel cannot decide gets an error, keyed by its index.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import CapabilityError, ConstantPowerLoad, internal_phase
-from .network import Network, network_hessian
+from .linearization import _raise_first, _stacked
+from .network import network_hessian
 
 __all__ = [
     "CERT_TOL",
@@ -111,8 +114,62 @@ def _complement_basis(unit):
 def deflated_min_eig(M, null_unit):
     """Smallest eigenvalue and eigenvector of M restricted to the complement of null_unit."""
     Z = _complement_basis(null_unit)
-    vals, vecs = np.linalg.eigh(Z.T @ M @ Z)
-    return float(vals[0]), Z @ vecs[:, 0]
+    vals, vecs, errors = _deflated_eigh(M[None], Z)
+    _raise_first(errors)
+    return float(vals[0]), Z @ vecs[0]
+
+
+def _deflated_eigh(M, Z):
+    """Smallest eigenpair of Z^T M Z for each M of a stack; nan where LAPACK rejects one."""
+    m = Z.shape[1]
+    (vals, vecs), errors = _stacked(np.linalg.eigh, Z.T @ M @ Z,
+                                    lambda: (np.full(m, np.nan), np.full((m, m), np.nan)))
+    return vals[:, 0], vecs[:, :, 0], errors
+
+
+def _check_balance(system, flow):
+    """Balance residual of a claimed flow, which must be small enough to certify."""
+    residual = system.balance_residual(flow)
+    scale = max(1.0, float(np.max(np.abs(system.net.B))) if system.n_bus > 1 else 1.0)
+    if residual > 1e-6 * scale:
+        raise CertificateError(
+            f"power flow does not satisfy the balance equations (residual {residual:.3e})"
+        )
+    return residual
+
+
+def _stiffness_block(dev, op):
+    """2x2 (theta, V) stiffness block of the device at a bus."""
+    if isinstance(dev, ConstantPowerLoad):
+        return load_stiffness_block(dev.Q_ref, op.V)
+    return bus_stiffness_block(op, dev.X_d, dev.X_q)
+
+
+def _gamma_gate(G, ids, tol=CERT_TOL):
+    """Per row of coefficients G (a column per bus of `ids`): the verdict or None, and worst bus."""
+    errors = _not_finite(G, ids, "synchronizing coefficient")
+    return _band(G.min(axis=1), None, tol), [ids[j] for j in np.argmin(G, axis=1)], errors
+
+
+def _add_stiffness(M, blocks, ids):
+    """Add blocks[k, i] (bus ids[i]) to its diagonal block of M[k] in place; errors where not finite."""
+    for i in range(blocks.shape[1]):
+        M[:, 2 * i:2 * i + 2, 2 * i:2 * i + 2] += blocks[:, i]
+    return _not_finite(blocks[:, :, 1, 1], ids, "(V, V) stiffness")
+
+
+def _not_finite(values, ids, name):
+    """A CertificateError for each row of `values` with a non-finite entry, naming its first bus."""
+    errors = {}
+    for k, j in zip(*np.nonzero(~np.isfinite(values))):
+        message = f"{name} at bus {ids[j]} is not finite ({values[k, j]})"
+        errors.setdefault(int(k), CertificateError(message))
+    return errors
+
+
+def _band(x, above, tol=CERT_TOL):
+    """The verdict at each x: `above` past tol, 'marginal' within the band, 'unstable' below it."""
+    return np.where(x > tol, above, np.where(x >= -tol, "marginal", "unstable")).tolist()
 
 
 @dataclass
@@ -126,7 +183,6 @@ class StabilityReport:
     violating_bus: int | None = None
     condition_matrix: np.ndarray | None = None
     null_residual: float | None = None
-    tol: float = CERT_TOL
 
     def to_json_dict(self):
         doc = {
@@ -154,61 +210,33 @@ class StabilityReport:
 def certify(flow, system, tol=CERT_TOL, bus_ids=None):
     """Evaluate the closed-form stability condition at a stationary power flow.
 
-    `flow` must satisfy the network power balance; every generator/GFM bus
-    must be inside its capability region (CapabilityError propagates
-    otherwise). Returns a StabilityReport; verdicts within `tol` of either
-    condition boundary are classed marginal.
+    `flow` must satisfy the network power balance, every generator/GFM bus
+    must be inside its capability region (CapabilityError otherwise) and its
+    closed forms finite (CertificateError naming the bus otherwise). Returns
+    a StabilityReport; verdicts within `tol` of either boundary are marginal.
     """
-    net: Network = system.net
-    n = net.n_bus
+    n = system.n_bus
     ids = list(bus_ids) if bus_ids is not None else list(range(n))
+    _check_balance(system, flow)
 
-    residual = system.balance_residual(flow)
-    scale = max(1.0, float(np.max(np.abs(net.B))) if n > 1 else 1.0)
-    if residual > 1e-6 * scale:
-        raise CertificateError(
-            f"power flow does not satisfy the balance equations (residual {residual:.3e})"
-        )
+    ops = [system.operating_point(flow, i) for i in range(n)]
+    gammas = {ids[i]: synchronizing_coefficient(op, dev.X_d, dev.X_q)
+              for i, (dev, op) in enumerate(zip(system.devices, ops))
+              if not isinstance(dev, ConstantPowerLoad)}
+    if gammas:
+        verdicts, worst, errors = _gamma_gate(np.array([list(gammas.values())]), list(gammas), tol)
+        _raise_first(errors)
+        if verdicts[0] is not None:
+            return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
-    gammas = {}
-    blocks = []
-    worst_bus = None
-    worst_gamma = np.inf
-    for i, dev in enumerate(system.devices):
-        op = system.operating_point(flow, i)
-        if isinstance(dev, ConstantPowerLoad):
-            blocks.append(load_stiffness_block(dev.Q_ref, op.V))
-            continue
-        g = synchronizing_coefficient(op, dev.X_d, dev.X_q)
-        gammas[ids[i]] = g
-        if g < worst_gamma:
-            worst_gamma = g
-            worst_bus = ids[i]
-        blocks.append(None)  # filled below once positivity is known
-
-    if gammas and worst_gamma < -tol:
-        return StabilityReport(gammas=gammas, verdict="unstable", violating_bus=worst_bus, tol=tol)
-    if gammas and worst_gamma <= tol:
-        return StabilityReport(gammas=gammas, verdict="marginal", violating_bus=worst_bus, tol=tol)
-
-    M = network_hessian(flow.theta, flow.V, net.B)
-    for i, dev in enumerate(system.devices):
-        block = blocks[i]
-        if block is None:
-            op = system.operating_point(flow, i)
-            block = bus_stiffness_block(op, dev.X_d, dev.X_q)
-        M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += block
+    M = network_hessian(flow.theta, flow.V, system.net.B)
+    blocks = np.array([_stiffness_block(dev, ops[i]) for i, dev in enumerate(system.devices)])
+    _raise_first(_add_stiffness(M[None], blocks[None], ids))
 
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))
     min_eig, vec = deflated_min_eig(M, null_unit)
-
-    if min_eig > tol:
-        verdict = "stable"
-    elif min_eig >= -tol:
-        verdict = "marginal"
-    else:
-        verdict = "unstable"
+    verdict = _band(min_eig, "stable", tol)
 
     return StabilityReport(
         gammas=gammas,
@@ -217,5 +245,4 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
         witness=vec if verdict == "unstable" else None,
         condition_matrix=M,
         null_residual=null_residual,
-        tol=tol,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -145,14 +146,14 @@ def cmd_simulate(args):
     return 0
 
 
-def _parse_range(text):
+def _parse_range(flag, text):
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise ConfigError(f"range must be 'a:b:n', got {text!r}") from exc
-    if a <= 0 or b <= 0 or n < 1:
-        raise ConfigError(f"range endpoints must be positive and n >= 1, got {text!r}")
+    if not (0 < a < math.inf and 0 < b < math.inf) or n < 1:
+        raise ConfigError(f"{flag} endpoints must be positive and finite and n >= 1, got {text!r}")
     return np.linspace(a, b, n)
 
 
@@ -161,8 +162,8 @@ def cmd_sweep(args):
     if args.sweep_bus not in cfg.bus_ids:
         raise ConfigError(f"--sweep-bus references unknown bus id {args.sweep_bus}")
     bus_index = cfg.bus_ids.index(args.sweep_bus)
-    xd_values = _parse_range(args.xd_range)
-    xq_values = _parse_range(args.xq_range)
+    xd_values = _parse_range("--xd-range", args.xd_range)
+    xq_values = _parse_range("--xq-range", args.xq_range)
     modes = [args.load_mode] if args.load_mode else ["forming", "following"]
     mode_cfgs = [apply_load_mode(cfg, mode) for mode in modes]
     if any(isinstance(c.system.devices[bus_index], ConstantPowerLoad) for c in mode_cfgs):

@@ -17,12 +17,13 @@ A config document looks like::
 
 Device kinds: two_axis, vsg, fdc, load. Bus spec types: slack (theta, V),
 pv (P, V), pq (P, Q); exactly one slack. All values per-unit, angles in
-radians.
+radians; every number must be finite (no Infinity, NaN or 1e400).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -57,17 +58,26 @@ def _get(doc, key, where, types=None):
     return value
 
 
-def _parse_spec(doc, where):
-    kind = _get(doc, "type", where, str)
+def _number(doc, key, where, default=None):
+    """The finite number under `key`; `default` where the key is absent and has one."""
+    value = _get(doc, key, where) if default is None else doc.get(key, default)
     try:
-        if kind == "slack":
-            return Slack(theta=float(doc.get("theta", 0.0)), V=float(doc.get("V", 1.0)))
-        if kind == "pv":
-            return PV(P=float(_get(doc, "P", where)), V=float(_get(doc, "V", where)))
-        if kind == "pq":
-            return PQ(P=float(_get(doc, "P", where)), Q=float(_get(doc, "Q", where)))
+        value = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: key '{key}' must be finite, got {value}")
+    return value
+
+
+def _parse_spec(doc, where):
+    kind = _get(doc, "type", where, str)
+    if kind == "slack":
+        return Slack(theta=_number(doc, "theta", where, 0.0), V=_number(doc, "V", where, 1.0))
+    if kind == "pv":
+        return PV(P=_number(doc, "P", where), V=_number(doc, "V", where))
+    if kind == "pq":
+        return PQ(P=_number(doc, "P", where), Q=_number(doc, "Q", where))
     raise ConfigError(f"{where}: unknown bus spec type {kind!r}")
 
 
@@ -79,7 +89,7 @@ def parse_config(doc):
     if not buses:
         raise ConfigError("config: at least one bus required")
     lines_doc = doc.get("lines", [])
-    omega0 = float(doc.get("omega0", 376.99111843077515))
+    omega0 = _number(doc, "omega0", "config", 376.99111843077515)
     if omega0 <= 0:
         raise ConfigError("config: omega0 must be positive")
 
@@ -96,7 +106,7 @@ def parse_config(doc):
         ids.append(bus_id)
         try:
             devices.append(device_from_dict(_get(bus, "device", where, dict)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         specs.append(_parse_spec(_get(bus, "spec", where, dict), f"{where}.spec"))
 
@@ -117,7 +127,7 @@ def parse_config(doc):
                 raise ConfigError(f"{where}: unknown bus id {end}")
         try:
             lines.append(Line(from_bus=index[fr], to_bus=index[to], b=float(_get(ln, "b", where))))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     try:

@@ -232,8 +232,8 @@ class Device:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def n_states(self):
@@ -493,7 +493,9 @@ class ConstantPowerLoad(Device):
     state_names = ()
 
     def __post_init__(self):
-        pass  # the references may take either sign
+        for name, value in vars(self).items():  # either sign
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def stationary_setpoint(self, op):
         return None

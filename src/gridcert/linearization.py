@@ -8,11 +8,15 @@ stability is decided from the spectrum of the reduced state matrix
     A = -R * (H / H_vv)
 
 where R collects per-device damping/interconnection blocks. A carries exactly
-one structural zero eigenvalue (the uniform rotation of all angles).
+one structural zero eigenvalue (the uniform rotation of all angles). Each step
+of the oracle is one kernel on a stack of matrices, which `eigenvalue_verdict`
+runs on a stack of one and the reactance sweep on a grid row; a matrix a
+kernel rejects gets an error, keyed by its stack index.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +63,10 @@ class EnergyHessian:
         return self.matrix[self.n_states:, self.n_states:]
 
 
-def _check_equilibrium(system: PowerSystem, eq: Equilibrium):
-    flow_res = system.balance_residual(eq.flow)
-    deriv_res = 0.0
-    for i, dev in enumerate(system.devices):
-        d = dev.state_derivative(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
-                                 eq.setpoints[i], system.omega0)
-        if d.size:
-            deriv_res = max(deriv_res, float(np.max(np.abs(d))))
+def _residual_error(flow_res, deriv_res=0.0):
+    """The ValueError of an equilibrium whose residuals exceed its tolerance, or None."""
     if flow_res > _EQUILIBRIUM_TOL or deriv_res > _EQUILIBRIUM_TOL:
-        raise ValueError(
+        return ValueError(
             f"inconsistent equilibrium: balance residual {flow_res:.3e}, "
             f"state derivative residual {deriv_res:.3e}"
         )
@@ -82,7 +80,13 @@ def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium, check=True):
     not satisfy the balance and zero-derivative residuals.
     """
     if check:
-        _check_equilibrium(system, eq)
+        deriv = [dev.state_derivative(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
+                                      eq.setpoints[i], system.omega0)
+                 for i, dev in enumerate(system.devices)]
+        error = _residual_error(system.balance_residual(eq.flow),
+                                max([0.0, *(float(np.max(np.abs(d))) for d in deriv if d.size)]))
+        if error:
+            raise error
     n = system.n_bus
     n_x = system.n_states
     slices = system.state_slices()
@@ -156,21 +160,85 @@ def kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
     """Schur complement of a symmetric matrix onto its first `n_keep` coordinates.
 
     Eliminates the trailing (algebraic) block; errors out if that block is
-    numerically singular instead of guessing.
+    not finite or numerically singular instead of guessing.
     """
-    H = np.asarray(H, dtype=float)
-    Hxx = H[:n_keep, :n_keep]
-    Hxv = H[:n_keep, n_keep:]
-    Hvv = H[n_keep:, n_keep:]
-    if Hvv.size == 0:
-        return Hxx.copy()
-    cond = np.linalg.cond(Hvv)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise np.linalg.LinAlgError(
-            f"algebraic block numerically singular (condition {cond:.3e} > {cond_limit:.1e})"
+    S, errors = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep, cond_limit)
+    _raise_first(errors)
+    return S[0]
+
+
+def _kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
+    """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order."""
+    if H.shape[-1] == n_keep:
+        return H.copy(), {}
+    Hvv = H[:, n_keep:, n_keep:]
+    ok = np.isfinite(Hvv).all(axis=(1, 2))
+    # a non-finite block has no condition number, and LAPACK prints errors on some
+    errors = {int(k): np.linalg.LinAlgError("algebraic block is not finite")
+              for k in np.flatnonzero(~ok)}
+    cond, rejected = _stacked(np.linalg.cond, Hvv if ok.all() else Hvv[ok], lambda: np.nan)
+    for j in np.flatnonzero(~(cond <= cond_limit)):  # rejected by LAPACK (nan) or ill-conditioned
+        errors[int(np.flatnonzero(ok)[j])] = rejected.get(j) or np.linalg.LinAlgError(
+            f"algebraic block numerically singular (condition {cond[j]:.3e} > {cond_limit:.1e})"
         )
-    S = Hxx - Hxv @ np.linalg.solve(Hvv, Hxv.T)
-    return 0.5 * (S + S.T)
+    ok[list(errors)] = False
+    H = H if ok.all() else H[ok]  # no copy of a stack it accepts whole
+    Hxv = H[:, :n_keep, n_keep:]
+    S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(H[:, n_keep:, n_keep:], Hxv.swapaxes(1, 2))
+    return 0.5 * (S + S.swapaxes(1, 2)), errors
+
+
+def _spectra(R, S):
+    """State matrices -R S of a stack and spectra; all inf (no zero mode) where LAPACK fails."""
+    A = -R @ S
+    return (A, *_stacked(np.linalg.eigvals, A, lambda: np.full(A.shape[-1], np.inf)))
+
+
+def _spectrum_verdicts(eig, tol=EIG_TOL):
+    """`eigenvalue_verdict`'s verdict and zero-mode index for each row of a stack of spectra.
+
+    The verdict does not depend on how a spectrum is sorted.
+    """
+    rows = np.arange(len(eig))
+    mods = np.abs(eig)
+    zero = np.argmin(mods, axis=1)
+    near_zero = np.sum(mods <= tol, axis=1)
+    errors = {int(k): DegenerateEquilibriumError(
+        f"degenerate equilibrium: {near_zero[k]} eigenvalues within {tol:.1e} of zero"
+        if near_zero[k] > 1 else
+        f"no structural zero mode found (smallest |eig| = {mods[k, zero[k]]:.3e})"
+    ) for k in np.flatnonzero((near_zero > 1) | (mods[rows, zero] > tol))}
+    rest = np.array(eig.real)
+    rest[rows, zero] = -np.inf  # a spectrum of the zero mode alone is stable
+    top = rest.max(axis=1)
+    verdicts = np.where(top < -tol, "stable", np.where(top > tol, "unstable", "marginal"))
+    return verdicts.tolist(), zero, errors
+
+
+def _stacked(fn, stack, fill):
+    """`fn` over a stack of matrices in one call, and the LinAlgError of each matrix LAPACK rejects.
+
+    If LAPACK rejects the stack, the matrices are redone one at a time, so a
+    bad matrix, whose result becomes `fill()`, does not sink the others.
+    """
+    with contextlib.suppress(np.linalg.LinAlgError):
+        return fn(stack), {}
+    results, errors = [], {}
+    for k, a in enumerate(stack):
+        try:
+            results.append(fn(a))
+        except np.linalg.LinAlgError as exc:
+            results.append(fill())
+            errors[k] = exc
+    if isinstance(results[0], tuple):  # one stack per part of each result
+        return tuple(np.array(part) for part in zip(*results)), errors
+    return np.array(results), errors
+
+
+def _raise_first(errors):
+    """Raise the error of the lowest stack index, if any."""
+    if errors:
+        raise errors[min(errors)]
 
 
 @dataclass
@@ -199,37 +267,15 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
     S = kron_reduce(H.matrix, H.n_states)
-    A = -damping_matrix(system) @ S
-    eig = np.linalg.eigvals(A)
-    order = np.lexsort((eig.imag, eig.real))
-    eig = eig[order]
-
-    mods = np.abs(eig)
-    zero_idx = int(np.argmin(mods))
-    near_zero = int(np.sum(mods <= tol_eig))
-    if near_zero > 1:
-        raise DegenerateEquilibriumError(
-            f"degenerate equilibrium: {near_zero} eigenvalues within {tol_eig:.1e} of zero"
-        )
-    if mods[zero_idx] > tol_eig:
-        raise DegenerateEquilibriumError(
-            f"no structural zero mode found (smallest |eig| = {mods[zero_idx]:.3e})"
-        )
-
-    rest = np.delete(eig, zero_idx)
-    if rest.size == 0:
-        verdict = "stable"
-    elif np.max(rest.real) < -tol_eig:
-        verdict = "stable"
-    elif np.max(rest.real) > tol_eig:
-        verdict = "unstable"
-    else:
-        verdict = "marginal"
-
+    A, eig, errors = _spectra(damping_matrix(system)[None], S[None])
+    _raise_first(errors)
+    eig = eig[0][np.lexsort((eig[0].imag, eig[0].real))]
+    verdicts, zero, errors = _spectrum_verdicts(eig[None], tol_eig)
+    _raise_first(errors)
     return EigenReport(
         eigenvalues=eig,
-        verdict=verdict,
-        zero_eigenvalue=complex(eig[zero_idx]),
-        state_matrix=A,
+        verdict=verdicts[0],
+        zero_eigenvalue=complex(eig[zero[0]]),
+        state_matrix=A[0],
         reduced_hessian=S,
     )

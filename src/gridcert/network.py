@@ -51,8 +51,8 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValueError(f"line endpoints must differ, got {self.from_bus}--{self.to_bus}")
-        if not self.b > 0:
-            raise ValueError(f"line susceptance must be positive, got b={self.b}")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"line susceptance must be positive and finite, got b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,12 @@ def power_flow_jacobian(theta, V, B):
     [[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]].
     """
     V = np.asarray(V, dtype=float)
-    tt, tv, vv = _hessian_blocks(theta, V, B)
-    _, Q = power_balance(theta, V, B)
+    terms = _angle_terms(theta, V, B)
+    return _jacobian(V, _balance(*terms)[1], *_hessian_blocks(theta, V, B, terms))
+
+
+def _jacobian(V, Q, tt, tv, vv):
+    """`power_flow_jacobian` from the injections Q and the `_hessian_blocks` at one point."""
     return np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
 
 
@@ -268,21 +272,20 @@ def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50)
 
     residual = np.inf
     for it in range(max_iter + 1):
-        P, Q = power_balance(theta, V, net.B)
+        terms = _angle_terms(theta, V, net.B)  # the one pass of this iterate
+        P, Q = _balance(*terms)
         mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows], Q_set[v_rows] - Q[v_rows]])
         residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         if not np.isfinite(residual):
             raise PowerFlowError(f"power flow diverged at iteration {it} (non-finite residual)")
         if residual <= tol:
-            P, Q = power_balance(theta, V, net.B)
             return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
         if it == max_iter:
             break
-        J = power_flow_jacobian(theta, V, net.B)
-        rows = np.concatenate([theta_rows, n + v_rows])
-        cols = np.concatenate([theta_rows, n + v_rows])
+        J = _jacobian(V, Q, *_hessian_blocks(theta, V, net.B, terms))
+        rows = np.concatenate([theta_rows, n + v_rows])  # the free (theta, V) are the same indices
         try:
-            step = np.linalg.solve(J[np.ix_(rows, cols)], mismatch)
+            step = np.linalg.solve(J[np.ix_(rows, rows)], mismatch)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular power flow Jacobian at iteration {it}") from exc
         theta[theta_rows] += step[:n_th]

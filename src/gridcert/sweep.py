@@ -1,39 +1,39 @@
 """Batched reactance sweep: both stability verdicts over an (X_d, X_q) grid at one bus.
 
-Between grid points only the swept bus's device changes. The certificate's
-condition matrix moves only in that bus's (V, V) stiffness entry, and the
-energy Hessian and damping matrix only in that device's blocks. So for one
-system and power flow, the balance check, the network Hessian, the other
-buses' synchronizing coefficients, stiffness blocks, equilibria, energy
-Hessian and damping blocks and the complement basis of the uniform phase
-shift are computed once (`_FlowInvariants`). Each X_d row of the grid is then
-evaluated as one stack of its X_q points: the deflated condition matrices
-under one `eigh`, the Kron reductions under one `cond` and one `solve`, the
-state matrices under one `eigvals`.
-
-Each point's matrices are formed and reduced with the same floating-point
-operations, in the same order, as `certify` and `eigenvalue_verdict` apply to
-the system holding that point's device, so the verdicts and `min_eig` are
-those of evaluating the points one at a time.
+Between grid points only the swept bus's device changes, so the balance
+check, the network Hessian and the other buses' coefficients, stiffness and
+energy blocks are computed once per system and flow (`_FlowInvariants`).
+Each X_d row of the grid then goes as one stack of its X_q points through the
+kernels that `certify` and `eigenvalue_verdict` run on a stack of one, so
+every point's verdicts and `min_eig` are those of evaluating it on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .certificate import (
-    CERT_TOL,
+    CertificateError,
+    _add_stiffness,
+    _band,
+    _check_balance,
     _complement_basis,
-    bus_stiffness_block,
-    load_stiffness_block,
+    _deflated_eigh,
+    _gamma_gate,
+    _stiffness_block,
     structural_null_vector,
     synchronizing_coefficient,
 )
 from .devices import CapabilityError, ConstantPowerLoad
-from .linearization import _EQUILIBRIUM_TOL, EIG_TOL, KRON_COND_LIMIT, _add_device_block
+from .linearization import (
+    _add_device_block,
+    _kron_reduce,
+    _residual_error,
+    _spectra,
+    _spectrum_verdicts,
+)
 from .network import network_hessian
 
 __all__ = ["sweep_verdicts"]
@@ -45,15 +45,9 @@ def sweep_verdicts(system, flow, bus, xd_values, xq_values):
     """Certificate and eigenvalue verdicts with bus index `bus`'s device at each (X_d, X_q).
 
     Yields (x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) for
-    every grid point, X_d-major, evaluating one X_d row at a time; min_eig is
-    None where the certificate stops at a synchronizing coefficient. A point
-    is infeasible under both verdicts where its device cannot be built, an
-    operating point leaves a capability region or the flow fails certify's
-    balance check; under the certificate verdict alone where the swept bus's
-    synchronizing coefficient or (V, V) stiffness is not finite or LAPACK
-    rejects the condition matrix; under the eigenvalue verdict alone where the
-    equilibrium cannot be built or Kron-reduced or the spectrum has no single
-    zero mode.
+    every grid point, X_d-major; min_eig is None where the certificate stops
+    at a synchronizing coefficient. A verdict is infeasible where the library
+    call behind it would raise, and both are where the device cannot be built.
     A non-positive bus voltage in `flow` raises ValueError.
     """
     if isinstance(system.devices[bus], ConstantPowerLoad):
@@ -68,55 +62,36 @@ class _FlowInvariants:
     """What the swept device does not change, and the evaluation of one X_d row."""
 
     def __init__(self, system, flow, bus):
-        net, n = system.net, system.n_bus
-        self.device = system.devices[bus]
-        self.omega0 = system.omega0
+        net, n, devices = system.net, system.n_bus, system.devices
+        self.device, self.bus, self.omega0 = devices[bus], bus, system.omega0
         self.theta = float(flow.theta[bus])
-
-        residual = system.balance_residual(flow)
-        scale = max(1.0, float(np.max(np.abs(net.B))) if n > 1 else 1.0)
-        self.certifiable = residual <= 1e-6 * scale  # certify's check of the flow
-        if not self.certifiable:
+        # certificate: each point sets the swept bus's coefficient and stiffness block
+        self.gens = [i for i, dev in enumerate(devices) if not isinstance(dev, ConstantPowerLoad)]
+        self.col, self.certifiable = self.gens.index(bus), True
+        try:
+            residual = _check_balance(system, flow)
+            ops = [system.operating_point(flow, i) for i in range(n)]
+            self.gammas = np.array([np.nan if i == bus else synchronizing_coefficient(
+                ops[i], devices[i].X_d, devices[i].X_q) for i in self.gens])
+        except (CertificateError, CapabilityError):
+            self.certifiable = False
             return
-        ops = [system.operating_point(flow, i) for i in range(n)]
-        self.op = ops[bus]
-        nh = network_hessian(flow.theta, flow.V, net.B)
-
-        # certificate: the other buses' coefficients and the condition matrix without
-        # the swept bus's (V, V) stiffness, which each point adds to nh[vv, vv]
-        gammas = []
-        for i, dev in enumerate(system.devices):
-            if i != bus and not isinstance(dev, ConstantPowerLoad):
-                try:
-                    gammas.append(synchronizing_coefficient(ops[i], dev.X_d, dev.X_q))
-                except CapabilityError:
-                    self.certifiable = False
-                    return
-        self.gamma = min(gammas, default=np.inf)
-        self.vv = 2 * bus + 1
-        self.nh_vv = nh[self.vv, self.vv]
-        if self.gamma > CERT_TOL:
-            M = nh.copy()
-            for i, dev in enumerate(system.devices):
-                if i == bus:
-                    block = np.zeros((2, 2))
-                elif isinstance(dev, ConstantPowerLoad):
-                    block = load_stiffness_block(dev.Q_ref, ops[i].V)
-                else:
-                    block = bus_stiffness_block(ops[i], dev.X_d, dev.X_q)
-                M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += block
-            self.M = M
-            self.Z = _complement_basis(structural_null_vector(n))
+        self.op, self.Z = ops[bus], _complement_basis(structural_null_vector(n))
+        self.nh = nh = network_hessian(flow.theta, flow.V, net.B)
+        try:
+            self.blocks = np.array([np.zeros((2, 2)) if i == bus else _stiffness_block(dev, ops[i])
+                                    for i, dev in enumerate(devices)])
+        except CertificateError:
+            self.blocks = None  # a coefficient <= 0 decides every point before the matrix
 
         # eigenvalue oracle: energy Hessian and damping matrix without the swept device
         self.n_x = n_x = system.n_states
         slices = system.state_slices()
         self.states, self.bus_col = slices[bus], n_x + 2 * bus
-        self.H = np.zeros((n_x + 2 * n, n_x + 2 * n))
-        self.H[n_x:, n_x:] = nh
+        self.H = np.pad(nh, (n_x, 0))  # device states first, then the bus (theta, V) pairs
         self.R = np.zeros((n_x, n_x))
-        self.equilibrium = residual <= _EQUILIBRIUM_TOL
-        for i, dev in enumerate(system.devices):
+        self.equilibrium = _residual_error(residual) is None
+        for i, dev in enumerate(devices):
             if i == bus:
                 continue
             blocks = _device_blocks(dev, float(flow.theta[i]), ops[i], self.omega0)
@@ -128,137 +103,72 @@ class _FlowInvariants:
 
     def row(self, x_d, xq_values):
         """(certificate verdict, eigenvalue verdict, min_eig) at each (x_d, x_q)."""
-        out = []
-        cert, stiffness = [], []  # points that reach the condition matrix
-        eig, hessians, dampings = [], [], []  # points that reach the spectrum
+        if not self.certifiable:
+            return [_INFEASIBLE] * len(xq_values)
+        out, cert, eig = [], [], []  # (point, gamma, device) and (point, Hessian, damping block)
         for k, x_q in enumerate(xq_values):
             try:
                 dev = dataclasses.replace(self.device, X_d=x_d, X_q=x_q)
-            except ValueError:
+                cert.append((k, synchronizing_coefficient(self.op, dev.X_d, dev.X_q), dev))
+            except ValueError:  # reactances the device rejects, or a CapabilityError
                 out.append(_INFEASIBLE)
                 continue
-            if not self.certifiable:
-                out.append(_INFEASIBLE)
-                continue
-            try:
-                gamma = synchronizing_coefficient(self.op, dev.X_d, dev.X_q)
-            except CapabilityError:
-                out.append(_INFEASIBLE)
-                continue
-            worst = min(gamma, self.gamma)
-            v_cert = "unstable" if worst < -CERT_TOL else "marginal" if worst <= CERT_TOL else None
-            if not math.isfinite(gamma):  # an extreme reactance overflows the closed form
-                v_cert = "infeasible"
-            elif v_cert is None:
-                s_vv = bus_stiffness_block(self.op, dev.X_d, dev.X_q)[1, 1]
-                if math.isfinite(s_vv):
-                    cert.append(k)
-                    stiffness.append(s_vv)
-                else:
-                    v_cert = "infeasible"
-            blocks = (_device_blocks(dev, self.theta, self.op, self.omega0)
-                      if self.equilibrium else None)
-            if blocks is None:
-                out.append([v_cert, "infeasible", None])
-                continue
-            eig.append(k)
-            hessians.append(blocks[0])
-            dampings.append(blocks[1])
-            out.append([v_cert, None, None])
-
+            out.append([None, "infeasible", None])
+            if self.equilibrium and (blocks := _device_blocks(dev, self.theta, self.op, self.omega0)):
+                eig.append((k, *blocks))
         if cert:
-            M = np.repeat(self.M[None], len(cert), axis=0)
-            M[:, self.vv, self.vv] = self.nh_vv + np.array(stiffness)
-            A = self.Z.T @ M @ self.Z
-            # eigh, not eigvalsh: only eigh gives certify's min_eig to the last digit
-            spectra = _stacked(lambda a: np.linalg.eigh(a)[0], A, np.full(A.shape[-1], np.nan))
-            for k, min_eig in zip(cert, spectra[:, 0].tolist()):
-                if not math.isfinite(min_eig):  # LAPACK rejected the matrix
-                    out[k][0] = "infeasible"
-                    continue
-                out[k][0] = ("stable" if min_eig > CERT_TOL
-                             else "marginal" if min_eig >= -CERT_TOL else "unstable")
-                out[k][2] = min_eig
+            self._certify(out, *zip(*cert))
         if eig:
-            H = np.repeat(self.H[None], len(eig), axis=0)
-            _add_device_block(H, np.array(hessians), self.states, self.bus_col)
-            R = np.repeat(self.R[None], len(eig), axis=0)
-            R[:, self.states, self.states] = np.array(dampings)
-            for k, v_eig in zip(eig, _eigen_verdicts(H, R, self.n_x)):
-                out[k][1] = v_eig
+            self._eigen(out, *zip(*eig))
         return out
+
+    def _certify(self, out, points, gammas, devices):
+        G = np.repeat(self.gammas[None], len(points), axis=0)
+        G[:, self.col] = gammas
+        verdicts, _, errors = _gamma_gate(G, self.gens)
+        keep, kept = _settle(out, 0, points, errors)
+        for j, k in zip(keep, kept):
+            out[k][0] = verdicts[j]
+        matrix = [j for j in keep if verdicts[j] is None]  # the points the condition matrix decides
+        if not matrix:
+            return
+        blocks = np.repeat(self.blocks[None], len(matrix), axis=0)
+        blocks[:, self.bus] = [_stiffness_block(devices[j], self.op) for j in matrix]
+        M = np.repeat(self.nh[None], len(matrix), axis=0)
+        errors = _add_stiffness(M, blocks, range(blocks.shape[1]))
+        keep, points = _settle(out, 0, [points[j] for j in matrix], errors)
+        min_eigs, _, errors = _deflated_eigh(M[keep], self.Z)
+        verdicts = _band(min_eigs, "stable")
+        for j, k in zip(*_settle(out, 0, points, errors)):
+            out[k][0], out[k][2] = verdicts[j], float(min_eigs[j])
+
+    def _eigen(self, out, points, hessians, dampings):
+        H = np.repeat(self.H[None], len(points), axis=0)
+        _add_device_block(H, np.array(hessians), self.states, self.bus_col)
+        R = np.repeat(self.R[None], len(points), axis=0)
+        R[:, self.states, self.states] = np.array(dampings)
+        S, errors = _kron_reduce(H, self.n_x)
+        keep, points = _settle(out, 1, points, errors)
+        # a spectrum LAPACK rejects is all inf, which has no zero mode
+        verdicts, _, errors = _spectrum_verdicts(_spectra(R[keep], S)[1])
+        for j, k in zip(*_settle(out, 1, points, errors)):
+            out[k][1] = verdicts[j]
+
+
+def _settle(out, column, points, errors):
+    """Mark infeasible in `column` the points a kernel rejects; positions and points of the rest."""
+    for j in errors:
+        out[points[j]][column] = "infeasible"
+    keep = [j for j in range(len(points)) if j not in errors]
+    return keep, [points[j] for j in keep]
 
 
 def _device_blocks(dev, theta, op, omega0):
-    """Energy Hessian and damping block of a device at its stationary state.
-
-    None where `PowerSystem.equilibrium` would raise. The equilibrium check of
-    `assemble_energy_hessian` cannot fail after it: `stationary_state` has
-    already held the same state derivative to a tighter tolerance.
-    """
+    """Energy Hessian and damping block of a device at its stationary state, or None where
+    `PowerSystem.equilibrium` would raise, after which `assemble_energy_hessian`'s check holds."""
     try:
         setpoint = dev.stationary_setpoint(op)
         state = dev.stationary_state(theta, op, omega0)
     except ValueError:  # capability, stationary residual, or a load the flow does not match
         return None
     return dev.energy_hessian(state, theta, op.V, setpoint, omega0), dev.damping_block(omega0)
-
-
-def _eigen_verdicts(H, R, n_x):
-    """`eigenvalue_verdict` on stacked energy Hessians and damping matrices.
-
-    'infeasible' where `kron_reduce` or `eigvals` would raise, or where the
-    spectrum has no single zero mode.
-    """
-    verdicts = ["infeasible"] * len(H)
-    Hvv = H[:, n_x:, n_x:]
-    # a non-finite H_vv has no finite condition number, and LAPACK prints errors on some
-    keep = np.flatnonzero(np.isfinite(Hvv).all(axis=(1, 2)))
-    if keep.size:
-        cond = _stacked(np.linalg.cond, Hvv[keep], np.nan)
-        keep = keep[np.isfinite(cond) & (cond <= KRON_COND_LIMIT)]
-    if not keep.size:
-        return verdicts
-    Hxv = H[keep, :n_x, n_x:]
-    S = H[keep, :n_x, :n_x] - Hxv @ np.linalg.solve(Hvv[keep], Hxv.transpose(0, 2, 1))
-    S = 0.5 * (S + S.transpose(0, 2, 1))
-    # an all-inf spectrum has no zero mode, so a matrix eigvals rejects stays infeasible
-    spectra = _stacked(np.linalg.eigvals, -R[keep] @ S, np.full(n_x, np.inf))
-    for k, v_eig in zip(keep, _spectrum_verdicts(spectra)):
-        verdicts[k] = v_eig
-    return verdicts
-
-
-def _spectrum_verdicts(eig, tol=EIG_TOL):
-    """`eigenvalue_verdict`'s verdict for each row of a stack of spectra.
-
-    Once the zero mode is the single eigenvalue within `tol` of zero, which
-    one it is does not depend on how the spectrum is sorted.
-    """
-    rows = np.arange(len(eig))
-    mods = np.abs(eig)
-    zero = np.argmin(mods, axis=1)
-    degenerate = (np.sum(mods <= tol, axis=1) > 1) | (mods[rows, zero] > tol)
-    rest = np.array(eig.real)
-    rest[rows, zero] = -np.inf  # a spectrum of the zero mode alone is stable
-    top = rest.max(axis=1)
-    verdict = np.where(top < -tol, "stable", np.where(top > tol, "unstable", "marginal"))
-    return np.where(degenerate, "infeasible", verdict).tolist()
-
-
-def _stacked(fn, stack, fill):
-    """`fn` over a stack of matrices in one call.
-
-    If LAPACK rejects the stack, the matrices are redone one at a time and
-    each one it rejects gets `fill`, so one bad point does not sink its row.
-    """
-    try:
-        return fn(stack)
-    except np.linalg.LinAlgError:
-        results = []
-        for a in stack:
-            try:
-                results.append(fn(a))
-            except np.linalg.LinAlgError:
-                results.append(fill)
-        return np.array(results)

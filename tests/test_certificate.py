@@ -234,6 +234,16 @@ class TestCertify:
         with pytest.raises(CertificateError, match="balance"):
             certify(bad, cfg.system)
 
+    @pytest.mark.parametrize("x3, message", [
+        ((1e-320, 0.069), "synchronizing coefficient at bus 3 is not finite (inf)"),
+        ((1e-299, 1e-10), "(V, V) stiffness at bus 3 is not finite (inf)"),
+    ])
+    def test_non_finite_closed_form_names_the_bus(self, x3, message):
+        cfg = gc.apply_load_mode(gc.parse_config(three_bus_doc(x3=x3)), "forming")
+        with pytest.raises(CertificateError) as exc:
+            certify(solved(cfg), cfg.system, bus_ids=cfg.bus_ids)
+        assert str(exc.value) == message
+
     def test_certificate_is_pure_static(self):
         # verdict must not read M, D, tau at all: strip them by using droop devices
         out = None

@@ -117,7 +117,48 @@ class TestCertify:
         assert "slack" in err
 
 
+    # (path to the number in three_bus_doc, JSON literal written there, message)
+    BAD_NUMBERS = [
+        (("buses", 2, "device", "X_d"), "Infinity", "buses[2]: X_d must be positive and finite, got inf"),
+        (("buses", 1, "device", "D"), "NaN", "buses[1]: D must be positive and finite, got nan"),
+        (("lines", 0, "b"), "1e400", "lines[0]: line susceptance must be positive and finite, got b=inf"),
+        (("buses", 1, "spec", "P"), "1e400", "buses[1].spec: key 'P' must be finite, got inf"),
+        (("omega0",), "-Infinity", "config: key 'omega0' must be finite, got -inf"),
+        (("buses", 0, "device", "X_d"), "null", "buses[0]: float() argument must be a string or a "
+                                                "real number, not 'NoneType'"),
+        (("lines", 1, "b"), "null", "lines[1]: float() argument must be a string or a real number, "
+                                    "not 'NoneType'"),
+    ]
+
+    @pytest.mark.parametrize("path, literal, message", BAD_NUMBERS)
+    def test_bad_config_number_exit_2(self, capsys, tmp_path, path, literal, message):
+        doc = three_bus_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 12345.678
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc).replace("12345.678", literal))
+        code, out, err = run(capsys, ["certify", "--config", str(config), "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_non_finite_closed_form_exit_2(self, capfd, tmp_path):
+        # at a subnormal X_d bus 3's synchronizing coefficient overflows
+        path = write_config(tmp_path, three_bus_doc(x3=(1e-320, 0.069)))
+        code = main(["certify", "--config", path, "--load-mode", "forming", "--no-timestamp"])
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: synchronizing coefficient at bus 3 is not finite (inf)"
+
+
 class TestEigen:
+    def test_non_finite_closed_form_exit_2(self, capfd, tmp_path):
+        path = write_config(tmp_path, three_bus_doc(x3=(1e-320, 0.069)))
+        code = main(["eigen", "--config", path, "--load-mode", "forming", "--no-timestamp"])
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, "")  # nothing from LAPACK either
+        assert err.splitlines()[-1] == "error: algebraic block is not finite"
+
     def test_spectrum_csv_and_verdict(self, capsys, three_bus_path):
         code, out, err = run(capsys, ["eigen", "--config", three_bus_path, "--no-timestamp"])
         assert code == 0
@@ -266,6 +307,12 @@ class TestSweep:
         row = out.strip().splitlines()[1].split(",")
         assert row[3:5] == ["stable", "infeasible"]  # certify needs no equilibrium
         assert float(row[5]) == pytest.approx(5.92209511286, rel=1e-11)
+
+    @pytest.mark.parametrize("text", ["0.1:inf:3", "0.1:1e400:3", "nan:1:3"])
+    def test_non_finite_range_exit_2(self, capsys, text):
+        code, out, err = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
+                                      "--xd-range", text, "--xq-range", "0.1:1:2", "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: --xd-range endpoints must be positive and finite and n >= 1, got {text!r}\n")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_point_keeps_the_sweep(self, capsys):

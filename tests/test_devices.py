@@ -264,3 +264,5 @@ def test_device_from_dict_roundtrip_and_errors():
         device_from_dict({"kind": "fdc", "D": 1.0})
     with pytest.raises(ValueError, match="unexpected"):
         device_from_dict({"kind": "load", "P_ref": 0.0, "Q_ref": 0.0, "tau": 1.0})
+    with pytest.raises(ValueError, match="Q_ref must be finite"):
+        device_from_dict({"kind": "load", "P_ref": 0.0, "Q_ref": float("inf")})

@@ -4,7 +4,11 @@ import pytest
 import gridcert as gc
 from gridcert.certificate import certify
 from gridcert.linearization import (
+    KRON_COND_LIMIT,
     DegenerateEquilibriumError,
+    _kron_reduce,
+    _spectra,
+    _spectrum_verdicts,
     assemble_energy_hessian,
     damping_matrix,
     eigenvalue_verdict,
@@ -221,3 +225,87 @@ class TestEigenValueVerdict:
         eq = system.equilibrium(flow)
         with pytest.raises(ValueError, match="dynamic states"):
             eigenvalue_verdict(system, eq)
+
+
+@pytest.fixture
+def fixture_matrices():
+    """Energy Hessian, damping matrix and state count of the fixture at its equilibrium."""
+    cfg = gc.load_config(gc.fixture_path("three_bus.json"))
+    system = cfg.system
+    eq = system.equilibrium(solved(cfg))
+    assert eigenvalue_verdict(system, eq).verdict == "stable"
+    return assemble_energy_hessian(system, eq).matrix, damping_matrix(system), system.n_states
+
+
+class TestStackedKernels:
+    """The kernels `eigenvalue_verdict` runs on a stack of one, on stacks of several."""
+
+    def test_kron_reduce_stack_equals_each_matrix(self, fixture_matrices):
+        H, _, n_x = fixture_matrices
+        rng = np.random.default_rng(36)
+        stack = []
+        for _ in range(4):
+            E = rng.normal(scale=1e-3, size=H.shape)
+            stack.append(H + E + E.T)
+        S, errors = _kron_reduce(np.stack(stack), n_x)
+        assert errors == {}
+        for Hk, Sk in zip(stack, S):
+            assert np.array_equal(kron_reduce(Hk, n_x), Sk)
+        not_finite = H.copy()
+        not_finite[n_x + 1, n_x + 2] = np.inf
+        singular = H.copy()
+        singular[n_x:, n_x + 1] = singular[n_x + 1, n_x:] = 0.0
+        messages = []
+        for bad in (not_finite, singular):
+            with pytest.raises(np.linalg.LinAlgError) as exc:
+                kron_reduce(bad, n_x)
+            messages.append(str(exc.value))
+        assert messages[0] == "algebraic block is not finite"
+        assert messages[1].startswith("algebraic block numerically singular")
+        S, errors = _kron_reduce(np.stack([H, not_finite, singular, H]), n_x)
+        assert [str(errors[k]) for k in sorted(errors)] == messages
+        assert np.array_equal(S, np.stack([kron_reduce(H, n_x)] * 2))
+
+    def test_lapack_failure_stays_with_its_matrix(self, fixture_matrices):
+        H, R, n_x = fixture_matrices
+        bad_kron = H.copy()
+        bad_kron[n_x, n_x] = np.nan  # screened before LAPACK sees it
+        bad_spectrum = H.copy()
+        bad_spectrum[0, 0] = np.inf  # the stacked eigvals raises
+        with np.errstate(invalid="ignore"):  # inf times the zeros of R
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvals(-R @ kron_reduce(bad_spectrum, n_x))
+            S, errors = _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
+            assert list(errors) == [1] and "not finite" in str(errors[1])
+            _, eig, errors = _spectra(np.stack([R] * 3), S)
+        assert list(errors) == [1]
+        verdicts, _, degenerate = _spectrum_verdicts(eig)
+        assert list(degenerate) == [1]  # an all-inf spectrum has no zero mode
+        assert verdicts[0] == verdicts[2] == "stable"
+
+    def test_kron_condition_limit(self, fixture_matrices):
+        H, _, n_x = fixture_matrices
+        stack = []
+        for scale in (1e-4, 1e-9):  # shrink one voltage row and column of the algebraic block
+            Hs = H.copy()
+            Hs[n_x + 1, :] *= scale
+            Hs[:, n_x + 1] *= scale
+            stack.append(Hs)
+        conds = [np.linalg.cond(Hs[n_x:, n_x:]) for Hs in stack]
+        assert 1e6 < conds[0] < KRON_COND_LIMIT < conds[1] < np.inf
+        S, errors = _kron_reduce(np.stack(stack), n_x)
+        assert list(errors) == [1] and len(S) == 1
+        assert np.array_equal(S[0], kron_reduce(stack[0], n_x))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            kron_reduce(stack[1], n_x)
+
+    def test_degenerate_equilibrium_messages(self):
+        system, flow = single_vsg_bus()
+        with pytest.raises(DegenerateEquilibriumError) as exc:
+            eigenvalue_verdict(system, system.equilibrium(flow), tol_eig=100.0)
+        assert str(exc.value) == "degenerate equilibrium: 2 eigenvalues within 1.0e+02 of zero"
+        _, _, errors = _spectrum_verdicts(np.array([[0.0, 1e-8, -1.0], [-1e-3, -1.0, -2.0]]))
+        assert [str(e) for e in errors.values()] == [
+            "degenerate equilibrium: 2 eigenvalues within 1.0e-07 of zero",
+            "no structural zero mode found (smallest |eig| = 1.000e-03)",
+        ]

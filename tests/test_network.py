@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import network
 from gridcert.network import PQ, PV, Line, Network, PowerFlowError, Slack
 
 from _oracles import TABLE1, fd_gradient
@@ -121,6 +122,21 @@ def test_solve_reproduces_table1():
     for key in ("theta", "V", "P", "Q"):
         assert np.max(np.abs(getattr(flow, key) - TABLE1[key])) <= 5e-4, key
     assert abs(flow.P.sum()) < 1e-12
+
+
+def test_solve_one_angle_pass_per_iterate(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return angle_terms(*args)
+
+    angle_terms = network._angle_terms
+    monkeypatch.setattr(network, "_angle_terms", counting)
+    net = Network.from_lines(3, [Line(0, 1, 40.0), Line(1, 2, 45.0)])
+    flow = gc.solve_power_flow(net, _three_bus_specs())
+    assert flow.iterations == 4
+    assert len(calls) == flow.iterations + 1
 
 
 def test_solve_zero_injections_flat():
