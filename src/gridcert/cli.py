@@ -1,7 +1,7 @@
 """Command-line interface: powerflow, certify, eigen, simulate, sweep.
 
 Exit codes are uniform across subcommands: 0 success/stable, 1 unstable,
-2 error (bad config, solver failure, capability violation), 3 marginal.
+2 error (bad config or option, solver failure, capability violation), 3 marginal.
 Outputs are deterministic for identical configs; the timestamp header/field
 is suppressed with --no-timestamp. CSV files use 12 significant digits.
 """
@@ -19,10 +19,10 @@ import numpy as np
 
 from .certificate import CertificateError, certify
 from .config import ConfigError, apply_load_mode, load_config
-from .devices import CapabilityError, ConstantPowerLoad
+from .devices import ConstantPowerLoad
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
-from .simulation import simulate
+from .simulation import AlgebraicSolveError, simulate
 from .sweep import sweep_verdicts
 
 __all__ = ["main"]
@@ -34,8 +34,17 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _timestamp_line():
-    return f"# generated {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
+def _generated():
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _output(args, header):
+    """Output buffer holding the timestamp line (unless --no-timestamp) and `header`."""
+    buf = io.StringIO()
+    if not args.no_timestamp:
+        buf.write(f"# generated {_generated()}\n")
+    buf.write(header)
+    return buf
 
 
 def _emit(text, out_path):
@@ -45,17 +54,15 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _solve(cfg):
-    return solve_power_flow(cfg.system.net, cfg.bus_specs)
+def _setup(config, load_mode=None):
+    """The config at `config` with the load mode applied, and its solved power flow."""
+    cfg = apply_load_mode(load_config(config), load_mode)
+    return cfg, solve_power_flow(cfg.system.net, cfg.bus_specs)
 
 
 def cmd_powerflow(args):
-    cfg = load_config(args.config)
-    flow = _solve(cfg)
-    buf = io.StringIO()
-    if not args.no_timestamp:
-        buf.write(_timestamp_line() + "\n")
-    buf.write(f"{'bus':>4} {'theta[rad]':>12} {'V[pu]':>10} {'P[pu]':>10} {'Q[pu]':>10}\n")
+    cfg, flow = _setup(args.config)
+    buf = _output(args, f"{'bus':>4} {'theta[rad]':>12} {'V[pu]':>10} {'P[pu]':>10} {'Q[pu]':>10}\n")
     theta = normalize_angle(flow.theta)
     for i, bus_id in enumerate(cfg.bus_ids):
         buf.write(f"{bus_id:>4} {theta[i]:>12.4f} {flow.V[i]:>10.4f} "
@@ -65,65 +72,58 @@ def cmd_powerflow(args):
 
 
 def cmd_certify(args):
-    cfg = apply_load_mode(load_config(args.config), args.load_mode)
-    flow = _solve(cfg)
+    cfg, flow = _setup(args.config, args.load_mode)
     report = certify(flow, cfg.system, bus_ids=cfg.bus_ids)
     doc = report.to_json_dict()
     if not args.no_timestamp:
-        doc["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        doc["generated"] = _generated()
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     print(report.to_text(), file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_eigen(args):
-    cfg = apply_load_mode(load_config(args.config), args.load_mode)
-    flow = _solve(cfg)
-    eq = cfg.system.equilibrium(flow)
-    report = eigenvalue_verdict(cfg.system, eq)
-    buf = io.StringIO()
-    if not args.no_timestamp:
-        buf.write(_timestamp_line() + "\n")
-    buf.write("re,im\n")
-    for re, im in report.to_csv_rows():
-        buf.write(f"{_fmt(re)},{_fmt(im)}\n")
+    cfg, flow = _setup(args.config, args.load_mode)
+    report = eigenvalue_verdict(cfg.system, cfg.system.equilibrium(flow))
+    buf = _output(args, "re,im\n")
+    for ev in report.eigenvalues:
+        buf.write(f"{_fmt(ev.real)},{_fmt(ev.imag)}\n")
     _emit(buf.getvalue(), args.out)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
 
-def _parse_perturbations(items, bus_ids):
-    out = []
-    index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
+def _perturbed_state(items, cfg, eq):
+    """Equilibrium device states with each --perturb BUS=RAD added to that bus's rotor angle."""
+    x0 = eq.x()
+    index = {bus_id: i for i, bus_id in enumerate(cfg.bus_ids)}
     for item in items or []:
         try:
             bus_text, rad_text = item.split("=", 1)
             bus, rad = int(bus_text), float(rad_text)
         except ValueError as exc:
             raise ConfigError(f"--perturb expects BUS=RAD, got {item!r}") from exc
+        if not math.isfinite(rad):
+            raise ConfigError(f"--perturb RAD must be finite, got {item!r}")
         if bus not in index:
             raise ConfigError(f"--perturb references unknown bus id {bus}")
-        out.append((index[bus], rad))
-    return out
+        sl = cfg.system.state_slices()[index[bus]]
+        if sl.stop == sl.start:
+            raise ConfigError(f"bus id {bus} hosts a load; nothing to perturb")
+        x0[sl.start] += rad
+    return x0
 
 
 def cmd_simulate(args):
-    cfg = apply_load_mode(load_config(args.config), args.load_mode)
-    flow = _solve(cfg)
+    for flag, value in (("--dt", args.dt), ("--t-end", args.t_end)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    cfg, flow = _setup(args.config, args.load_mode)
     eq = cfg.system.equilibrium(flow)
-    x0 = eq.x()
-    for bus_index, rad in _parse_perturbations(args.perturb, cfg.bus_ids):
-        x0 = x0.copy()
-        sl = cfg.system.state_slices()[bus_index]
-        if sl.stop == sl.start:
-            raise ConfigError(f"bus id {cfg.bus_ids[bus_index]} hosts a load; nothing to perturb")
-        x0[sl.start] += rad
+    x0 = _perturbed_state(args.perturb, cfg, eq)
     traj = simulate(cfg.system, eq, x0=x0, dt=args.dt, t_end=args.t_end)
 
-    buf = io.StringIO()
-    if not args.no_timestamp:
-        buf.write(_timestamp_line() + "\n")
-    buf.write("t,bus,theta,V,P,Q,delta,omega,E_q,E_d,W\n")
+    buf = _output(args, "t,bus,theta,V,P,Q,delta,omega,E_q,E_d,W\n")
     slices = cfg.system.state_slices()
     for k in range(traj.t.size):
         v = traj.v[k]
@@ -165,18 +165,15 @@ def cmd_sweep(args):
     xd_values = _parse_range("--xd-range", args.xd_range)
     xq_values = _parse_range("--xq-range", args.xq_range)
     modes = [args.load_mode] if args.load_mode else ["forming", "following"]
-    mode_cfgs = [apply_load_mode(cfg, mode) for mode in modes]
-    if any(isinstance(c.system.devices[bus_index], ConstantPowerLoad) for c in mode_cfgs):
+    systems = [apply_load_mode(cfg, mode).system for mode in modes]
+    if any(isinstance(system.devices[bus_index], ConstantPowerLoad) for system in systems):
         raise ConfigError("sweep bus must host a generator or grid-forming inverter")
 
-    buf = io.StringIO()
-    if not args.no_timestamp:
-        buf.write(_timestamp_line() + "\n")
-    buf.write("X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
-    for mode, mode_cfg in zip(modes, mode_cfgs):
-        flow = _solve(mode_cfg)
+    flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
+    buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
+    for mode, system in zip(modes, systems):
         for x_d, x_q, v_cert, v_eig, min_eig in sweep_verdicts(
-                mode_cfg.system, flow, bus_index, xd_values, xq_values):
+                system, flow, bus_index, xd_values, xq_values):
             min_eig = _fmt(min_eig) if min_eig is not None else ""
             buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
     _emit(buf.getvalue(), args.out)
@@ -238,8 +235,8 @@ def main(argv=None):
     except PowerFlowError as exc:
         print(f"error: power flow failed: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, CapabilityError, CertificateError,
-            DegenerateEquilibriumError, np.linalg.LinAlgError) as exc:
+    except (ValueError, CertificateError, DegenerateEquilibriumError, AlgebraicSolveError) as exc:
+        # ValueError covers ConfigError, CapabilityError and numpy's LinAlgError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

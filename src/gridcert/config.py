@@ -3,7 +3,7 @@
 A config document looks like::
 
     {
-      "omega0": 376.991,                  # optional, rad/s
+      "omega0": 314.159,                  # optional, rad/s (default 2 pi 60)
       "buses": [
         {"id": 1,
          "device": {"kind": "two_axis", "M": 0.2, "D": 1.0, "tau_d": 5.0,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .devices import ConstantPowerLoad, device_from_dict
+from .devices import OMEGA0_DEFAULT, ConstantPowerLoad, device_from_dict
 from .network import PQ, PV, Line, Network, Slack
 from .system import PowerSystem
 
@@ -89,7 +89,7 @@ def parse_config(doc):
     if not buses:
         raise ConfigError("config: at least one bus required")
     lines_doc = doc.get("lines", [])
-    omega0 = _number(doc, "omega0", "config", 376.99111843077515)
+    omega0 = _number(doc, "omega0", "config", OMEGA0_DEFAULT)
     if omega0 <= 0:
         raise ConfigError("config: omega0 must be positive")
 
@@ -104,8 +104,9 @@ def parse_config(doc):
         if bus_id in ids:
             raise ConfigError(f"{where}: duplicate bus id {bus_id}")
         ids.append(bus_id)
+        device = _get(bus, "device", where, dict)
         try:
-            devices.append(device_from_dict(_get(bus, "device", where, dict)))
+            devices.append(device_from_dict(device))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         specs.append(_parse_spec(_get(bus, "spec", where, dict), f"{where}.spec"))
@@ -125,8 +126,9 @@ def parse_config(doc):
         for end in (fr, to):
             if end not in index:
                 raise ConfigError(f"{where}: unknown bus id {end}")
+        b = _get(ln, "b", where)
         try:
-            lines.append(Line(from_bus=index[fr], to_bus=index[to], b=float(_get(ln, "b", where))))
+            lines.append(Line(from_bus=index[fr], to_bus=index[to], b=float(b)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 

@@ -72,21 +72,20 @@ def _residual_error(flow_res, deriv_res=0.0):
         )
 
 
-def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium, check=True):
+def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium):
     """Total energy Hessian at an equilibrium: per-device blocks plus the network.
 
     Coordinates: each bus's device states in order, then the bus pairs
     (theta_1, V_1, ..., theta_N, V_N). Raises if the claimed equilibrium does
     not satisfy the balance and zero-derivative residuals.
     """
-    if check:
-        deriv = [dev.state_derivative(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
-                                      eq.setpoints[i], system.omega0)
-                 for i, dev in enumerate(system.devices)]
-        error = _residual_error(system.balance_residual(eq.flow),
-                                max([0.0, *(float(np.max(np.abs(d))) for d in deriv if d.size)]))
-        if error:
-            raise error
+    deriv = [dev.state_derivative(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
+                                  eq.setpoints[i], system.omega0)
+             for i, dev in enumerate(system.devices)]
+    error = _residual_error(system.balance_residual(eq.flow),
+                            max([0.0, *(float(np.max(np.abs(d))) for d in deriv if d.size)]))
+    if error:
+        raise error
     n = system.n_bus
     n_x = system.n_states
     slices = system.state_slices()
@@ -156,18 +155,18 @@ def factorized_voltage_block(system: PowerSystem, eq: Equilibrium):
     return phi_cols.T @ (react[:, None] * phi_cols) + theta_cols.T @ minus_b_kron @ theta_cols
 
 
-def kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
+def kron_reduce(H, n_keep):
     """Schur complement of a symmetric matrix onto its first `n_keep` coordinates.
 
     Eliminates the trailing (algebraic) block; errors out if that block is
     not finite or numerically singular instead of guessing.
     """
-    S, errors = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep, cond_limit)
+    S, errors = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)
     _raise_first(errors)
     return S[0]
 
 
-def _kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
+def _kron_reduce(H, n_keep):
     """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order."""
     if H.shape[-1] == n_keep:
         return H.copy(), {}
@@ -177,9 +176,9 @@ def _kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
     errors = {int(k): np.linalg.LinAlgError("algebraic block is not finite")
               for k in np.flatnonzero(~ok)}
     cond, rejected = _stacked(np.linalg.cond, Hvv if ok.all() else Hvv[ok], lambda: np.nan)
-    for j in np.flatnonzero(~(cond <= cond_limit)):  # rejected by LAPACK (nan) or ill-conditioned
+    for j in np.flatnonzero(~(cond <= KRON_COND_LIMIT)):  # rejected by LAPACK (nan) or ill-conditioned
         errors[int(np.flatnonzero(ok)[j])] = rejected.get(j) or np.linalg.LinAlgError(
-            f"algebraic block numerically singular (condition {cond[j]:.3e} > {cond_limit:.1e})"
+            f"algebraic block numerically singular (condition {cond[j]:.3e} > {KRON_COND_LIMIT:.1e})"
         )
     ok[list(errors)] = False
     H = H if ok.all() else H[ok]  # no copy of a stack it accepts whole
@@ -189,9 +188,8 @@ def _kron_reduce(H, n_keep, cond_limit=KRON_COND_LIMIT):
 
 
 def _spectra(R, S):
-    """State matrices -R S of a stack and spectra; all inf (no zero mode) where LAPACK fails."""
-    A = -R @ S
-    return (A, *_stacked(np.linalg.eigvals, A, lambda: np.full(A.shape[-1], np.inf)))
+    """Spectra of the state matrices -R S of a stack; all inf (no zero mode) where LAPACK fails."""
+    return _stacked(np.linalg.eigvals, -R @ S, lambda: np.full(S.shape[-1], np.inf))
 
 
 def _spectrum_verdicts(eig, tol=EIG_TOL):
@@ -248,11 +246,6 @@ class EigenReport:
     eigenvalues: np.ndarray
     verdict: str
     zero_eigenvalue: complex
-    state_matrix: np.ndarray
-    reduced_hessian: np.ndarray
-
-    def to_csv_rows(self):
-        return [(ev.real, ev.imag) for ev in self.eigenvalues]
 
 
 def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
@@ -267,7 +260,7 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
     S = kron_reduce(H.matrix, H.n_states)
-    A, eig, errors = _spectra(damping_matrix(system)[None], S[None])
+    eig, errors = _spectra(damping_matrix(system)[None], S[None])
     _raise_first(errors)
     eig = eig[0][np.lexsort((eig[0].imag, eig[0].real))]
     verdicts, zero, errors = _spectrum_verdicts(eig[None], tol_eig)
@@ -276,6 +269,4 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
         eigenvalues=eig,
         verdict=verdicts[0],
         zero_eigenvalue=complex(eig[zero[0]]),
-        state_matrix=A[0],
-        reduced_hessian=S,
     )

@@ -123,16 +123,14 @@ def _check_connected(n_bus, B):
 
 @dataclass(frozen=True)
 class Network:
-    """Lossless network: bus count, line list, and susceptance matrix."""
+    """Lossless network: bus count and susceptance matrix."""
 
     n_bus: int
-    lines: tuple[Line, ...]
     B: np.ndarray = field(repr=False)
 
     @classmethod
     def from_lines(cls, n_bus, lines):
-        lines = tuple(lines)
-        return cls(n_bus=n_bus, lines=lines, B=build_susceptance(n_bus, lines))
+        return cls(n_bus=n_bus, B=build_susceptance(n_bus, lines))
 
 
 def _angle_terms(theta, V, B):
@@ -147,16 +145,15 @@ def power_balance(theta, V, net):
     """Evaluate the lossless power balance at every bus.
 
     Returns (P, Q) arrays. `net` may be a Network or a susceptance matrix.
+    The angle terms go through `_balance`, the one (P, Q) reduction that the
+    power flow and the simulator also use, so all three agree bit for bit.
     """
     B = net.B if isinstance(net, Network) else np.asarray(net)
-    C, S, W = _angle_terms(theta, V, B)
-    S *= W  # in place: the n x n temporaries dominate the cost at large n
-    C *= W
-    return S.sum(axis=1), -C.sum(axis=1)
+    return _balance(*_angle_terms(theta, V, B))
 
 
 def _balance(C, S, W):
-    """(P, Q) from `_angle_terms` as `power_balance` forms them, leaving the terms intact."""
+    """(P, Q) from `_angle_terms`, leaving the terms intact for the Hessian blocks."""
     return (S * W).sum(axis=1), -(C * W).sum(axis=1)
 
 

@@ -233,8 +233,11 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0, record_every=
     """Fixed-step RK4 integration with a Newton voltage solve at every stage.
 
     Starts from device states `x0` (default: the equilibrium itself) with the
-    bus voltages re-solved for consistency. On an algebraic solve failure the
-    trajectory is truncated and returned with a diagnostic instead of raising.
+    bus voltages re-solved for consistency; if that initial solve fails, the
+    AlgebraicSolveError is raised, as there is no trajectory to return. On a
+    later algebraic solve failure the trajectory is truncated and returned
+    with a diagnostic instead of raising. `dt` and `t_end` must be positive
+    and finite.
     """
     setpoints = eq.setpoints
     slices = system.state_slices()

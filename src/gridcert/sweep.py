@@ -150,7 +150,7 @@ class _FlowInvariants:
         S, errors = _kron_reduce(H, self.n_x)
         keep, points = _settle(out, 1, points, errors)
         # a spectrum LAPACK rejects is all inf, which has no zero mode
-        verdicts, _, errors = _spectrum_verdicts(_spectra(R[keep], S)[1])
+        verdicts, _, errors = _spectrum_verdicts(_spectra(R[keep], S)[0])
         for j, k in zip(*_settle(out, 1, points, errors)):
             out[k][1] = verdicts[j]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import cli
 from gridcert.cli import main
 
 from _oracles import TABLE1, sweep_point, three_bus_doc
@@ -12,6 +13,9 @@ FIXTURE = str(gc.fixture_path("three_bus.json"))
 
 # bus 3's reactances where the closed-form VSG stationary state misses its 1e-10 residual bound
 STATIONARY_FAILURE_X3 = (1e-6, 5e5)
+
+# a bus 2 device whose synchronizing coefficient is negative at the fixture's flow
+NEGATIVE_GAMMA_VSG = {"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 50.0, "X_q": 1.9}
 
 
 @pytest.fixture
@@ -142,6 +146,31 @@ class TestCertify:
         code, out, err = run(capsys, ["certify", "--config", str(config), "--no-timestamp"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("path, message", [
+        (("buses", 0, "device"), "buses[0]: missing required key 'device'"),
+        (("lines", 0, "b"), "lines[0]: missing required key 'b'"),
+    ])
+    def test_missing_key_named_once(self, capsys, tmp_path, path, message):
+        doc = three_bus_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        code, out, err = run(capsys, ["certify", "--config", write_config(tmp_path, doc),
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_coefficient_gate_names_violating_bus(self, capsys, tmp_path):
+        doc = three_bus_doc()
+        doc["buses"][1]["device"] = NEGATIVE_GAMMA_VSG
+        code, out, err = run(capsys, ["certify", "--config", write_config(tmp_path, doc),
+                                      "--load-mode", "forming", "--no-timestamp"])
+        assert code == 1
+        report = json.loads(out)
+        assert (report["verdict"], report["min_eig"], report["violating_bus"]) == ("unstable", None, 2)
+        assert report["gammas"]["2"] < 0 < min(report["gammas"]["1"], report["gammas"]["3"])
+        assert err.splitlines()[-1] == "  positivity condition violated at bus 2"
+
     def test_non_finite_closed_form_exit_2(self, capfd, tmp_path):
         # at a subnormal X_d bus 3's synchronizing coefficient overflows
         path = write_config(tmp_path, three_bus_doc(x3=(1e-320, 0.069)))
@@ -219,6 +248,32 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: vsg stationary state residual")
 
+    # step options simulate rejects before it loads the config, and the message naming each
+    BAD_OPTIONS = [
+        (["--dt", "0"], "--dt must be positive and finite, got 0.0"),
+        (["--dt", "nan"], "--dt must be positive and finite, got nan"),
+        (["--t-end", "inf"], "--t-end must be positive and finite, got inf"),
+        (["--t-end", "-1"], "--t-end must be positive and finite, got -1.0"),
+        (["--perturb", "1=inf"], "--perturb RAD must be finite, got '1=inf'"),
+    ]
+
+    @pytest.mark.parametrize("options, message", BAD_OPTIONS)
+    def test_bad_step_option_exit_2(self, capsys, options, message):
+        code, out, err = run(capsys, ["simulate", "--config", FIXTURE, "--no-timestamp", *options])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_failed_initial_solve_exit_2(self, capsys):
+        # a 1 rad kick leaves no bus voltages consistent with the kicked rotor angle
+        code, out, err = run(capsys, ["simulate", "--config", FIXTURE, "--perturb", "1=1.0",
+                                      "--t-end", "0.01", "--no-timestamp"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_load_bus_perturbation_rejected(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--config", FIXTURE, "--load-mode", "following",
+                                      "--perturb", "2=0.05", "--t-end", "0.01", "--no-timestamp"])
+        assert (code, out, err) == (2, "", "error: bus id 2 hosts a load; nothing to perturb\n")
+
     def test_unknown_perturb_bus_rejected(self, capsys, three_bus_path):
         code, _, err = run(capsys, ["simulate", "--config", three_bus_path,
                                     "--perturb", "9=0.05", "--t-end", "0.01"])
@@ -240,6 +295,21 @@ class TestSweep:
         for r in rows:
             assert r[3] in ("stable", "unstable", "marginal", "infeasible")
             assert r[3] == r[4]
+
+    def test_two_modes_share_one_power_flow(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gc.solve_power_flow(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_power_flow", counting)
+        code, out, _ = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
+                                    "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2",
+                                    "--no-timestamp"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 9  # header, then 4 points per mode
+        assert len(calls) == 1
 
     def test_single_point_grid_matches_certify(self, capsys, tmp_path, three_bus_path):
         code, out, _ = run(capsys, ["sweep", "--config", three_bus_path, "--sweep-bus", "3",
@@ -337,8 +407,8 @@ class TestSweep:
         "bus2-forming": (None, 2, ["forming"], (0.01, 50, 30), (0.01, 1.98, 30),
                          {"infeasible", "gamma", "unstable", "stable"}),
         # bus 2's own synchronizing coefficient is negative, whatever bus 3's reactances
-        "bus3-bus2-decides": ({"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 50.0, "X_q": 1.9},
-                              3, ["forming"], (0.1, 12, 4), (0.1, 12, 4), {"gamma"}),
+        "bus3-bus2-decides": (NEGATIVE_GAMMA_VSG, 3, ["forming"], (0.1, 12, 4), (0.1, 12, 4),
+                              {"gamma"}),
     }
 
     @pytest.mark.parametrize("grid", list(ORACLE_GRIDS))

@@ -277,7 +277,7 @@ class TestStackedKernels:
                 np.linalg.eigvals(-R @ kron_reduce(bad_spectrum, n_x))
             S, errors = _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
             assert list(errors) == [1] and "not finite" in str(errors[1])
-            _, eig, errors = _spectra(np.stack([R] * 3), S)
+            eig, errors = _spectra(np.stack([R] * 3), S)
         assert list(errors) == [1]
         verdicts, _, degenerate = _spectrum_verdicts(eig)
         assert list(degenerate) == [1]  # an all-inf spectrum has no zero mode

@@ -184,6 +184,18 @@ class TestSimulate:
         e2 = np.linalg.norm(simulate(system, eq, x0=x0, dt=1e-3, t_end=0.1).x[-1] - ref)
         assert 10.0 < e1 / e2 < 24.0  # fourth order: ratio near 16
 
+    def test_failed_initial_solve_raises(self):
+        # a 1 rad kick of the fixture's two-axis rotor leaves no consistent bus voltages
+        cfg = gc.load_config(gc.fixture_path("three_bus.json"))
+        eq = cfg.system.equilibrium(solved(cfg))
+        with pytest.raises(AlgebraicSolveError):
+            simulate(cfg.system, eq, x0=perturbed_state(eq, 0, 1.0), dt=1e-3, t_end=0.01)
+
+    def test_load_bus_has_no_angle_to_perturb(self):
+        system, eq = fast_three_bus(mode="following")
+        with pytest.raises(ValueError, match="bus 1 hosts a load"):
+            perturbed_state(eq, 1, 0.05)
+
     def test_frequency_synchronization(self):
         system, eq = fast_three_bus()
         x0 = perturbed_state(eq, 1, 0.05)

@@ -16,7 +16,7 @@ from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
 from gridcert.linearization import _spectrum_verdicts
 from gridcert.sweep import sweep_verdicts
 
-from _oracles import solved
+from _oracles import solved, sweep_point, three_bus_doc
 
 
 @pytest.fixture
@@ -99,3 +99,29 @@ def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, co
         first[4] = None
     assert rows[0] == tuple(first)
     assert rows[1:] == expected[1:]
+
+
+def _rows_and_oracle(cfg, bus, xd_values, xq_values):
+    """The sweep's rows at bus index `bus` as text cells, and `sweep_point`'s for each point."""
+    flow = solved(cfg)
+    rows = [(v_cert, v_eig, "" if min_eig is None else f"{min_eig:.12g}")
+            for _, _, v_cert, v_eig, min_eig in sweep_verdicts(cfg.system, flow, bus, xd_values,
+                                                               xq_values)]
+    return rows, [sweep_point(cfg, flow, bus, x_d, x_q) for x_d in xd_values for x_q in xq_values]
+
+
+def test_uncertifiable_bus_makes_every_point_infeasible():
+    doc = three_bus_doc()
+    # bus 2's device leaves its capability region at the fixture's flow
+    doc["buses"][1]["device"] = {"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 5.0, "X_q": 5.0}
+    rows, expected = _rows_and_oracle(gc.parse_config(doc), 2, [0.1, 4.0], [0.069, 4.0])
+    assert rows == expected == [("infeasible", "infeasible", "")] * 4
+
+
+def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
+    # bus 3's VSG has no stationary state at these reactances; the certificate needs none
+    cfg = gc.parse_config(three_bus_doc(x3=(1e-6, 5e5)))
+    rows, expected = _rows_and_oracle(cfg, 0, [0.08, 0.1, 0.5], [0.069, 0.2])
+    assert rows == expected
+    assert {v_eig for _, v_eig, _ in rows} == {"infeasible"}
+    assert all(v_cert in ("stable", "unstable") and min_eig for v_cert, _, min_eig in rows)
