@@ -90,6 +90,9 @@ def cmd_eigen(args):
         buf.write(f"{_fmt(ev.real)},{_fmt(ev.imag)}\n")
     _emit(buf.getvalue(), args.out)
     print(f"verdict: {report.verdict}", file=sys.stderr)
+    if report.voltage_margin <= 0:  # outside the set where the certificate must agree
+        print("note: equilibrium is not voltage-regular (smallest algebraic-block eigenvalue "
+              f"{report.voltage_margin:.6g})", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
 

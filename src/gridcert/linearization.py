@@ -159,23 +159,30 @@ def kron_reduce(H, n_keep):
     """Schur complement of a symmetric matrix onto its first `n_keep` coordinates.
 
     Eliminates the trailing (algebraic) block; errors out if that block is
-    not finite or numerically singular instead of guessing.
+    not finite or numerically singular instead of guessing. The block is
+    symmetric, so its condition number is the ratio of its largest to its
+    smallest |eigenvalue|, which is its 2-norm condition number.
     """
     S, errors = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)
     _raise_first(errors)
     return S[0]
 
 
-def _kron_reduce(H, n_keep):
-    """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order."""
+def _kron_reduce(H, n_keep, return_margins=False):
+    """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order.
+
+    With `return_margins`, also the smallest eigenvalue of each accepted
+    trailing block: its voltage-regularity margin, positive where regular.
+    """
     if H.shape[-1] == n_keep:
-        return H.copy(), {}
+        S, errors, margins = H.copy(), {}, np.full(len(H), np.inf)
+        return (S, errors, margins) if return_margins else (S, errors)
     Hvv = H[:, n_keep:, n_keep:]
     ok = np.isfinite(Hvv).all(axis=(1, 2))
     # a non-finite block has no condition number, and LAPACK prints errors on some
     errors = {int(k): np.linalg.LinAlgError("algebraic block is not finite")
               for k in np.flatnonzero(~ok)}
-    cond, rejected = _stacked(np.linalg.cond, Hvv if ok.all() else Hvv[ok], lambda: np.nan)
+    cond, lam, rejected = _condition(Hvv if ok.all() else Hvv[ok])
     for j in np.flatnonzero(~(cond <= KRON_COND_LIMIT)):  # rejected by LAPACK (nan) or ill-conditioned
         errors[int(np.flatnonzero(ok)[j])] = rejected.get(j) or np.linalg.LinAlgError(
             f"algebraic block numerically singular (condition {cond[j]:.3e} > {KRON_COND_LIMIT:.1e})"
@@ -184,7 +191,23 @@ def _kron_reduce(H, n_keep):
     H = H if ok.all() else H[ok]  # no copy of a stack it accepts whole
     Hxv = H[:, :n_keep, n_keep:]
     S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(H[:, n_keep:, n_keep:], Hxv.swapaxes(1, 2))
-    return 0.5 * (S + S.swapaxes(1, 2)), errors
+    S = 0.5 * (S + S.swapaxes(1, 2))
+    return (S, errors, lam[cond <= KRON_COND_LIMIT, 0]) if return_margins else (S, errors)
+
+
+def _condition(A):
+    """2-norm condition numbers and ascending eigenvalues of a stack of symmetric matrices.
+
+    The singular values of a symmetric matrix are its |eigenvalues|, so one
+    `eigvalsh` gives the ratio of the extreme singular values. A singular
+    matrix has condition inf; a matrix LAPACK rejects has nan for both, and
+    its LinAlgError is returned by stack index.
+    """
+    lam, rejected = _stacked(np.linalg.eigvalsh, A, lambda: np.full(A.shape[-1], np.nan))
+    mags = np.abs(lam)
+    smallest = mags.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest), lam, rejected
 
 
 def _spectra(R, S):
@@ -246,6 +269,8 @@ class EigenReport:
     eigenvalues: np.ndarray
     verdict: str
     zero_eigenvalue: complex
+    #: smallest eigenvalue of the algebraic (theta, V) block; voltage-regular where positive
+    voltage_margin: float
 
 
 def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
@@ -254,13 +279,15 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
     Stable iff every eigenvalue besides the single structural zero has real
     part below -tol_eig; marginal if any other real part sits inside the
     tolerance band. Raises DegenerateEquilibriumError when more than one
-    eigenvalue is numerically zero.
+    eigenvalue is numerically zero. The report carries the voltage-regularity
+    margin, outside of which the verdict need not match the certificate's.
     """
     if system.n_states == 0:
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
-    S = kron_reduce(H.matrix, H.n_states)
-    eig, errors = _spectra(damping_matrix(system)[None], S[None])
+    S, errors, margins = _kron_reduce(H.matrix[None], H.n_states, return_margins=True)
+    _raise_first(errors)
+    eig, errors = _spectra(damping_matrix(system)[None], S)
     _raise_first(errors)
     eig = eig[0][np.lexsort((eig[0].imag, eig[0].real))]
     verdicts, zero, errors = _spectrum_verdicts(eig[None], tol_eig)
@@ -269,4 +296,5 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
         eigenvalues=eig,
         verdict=verdicts[0],
         zero_eigenvalue=complex(eig[zero[0]]),
+        voltage_margin=float(margins[0]),
     )

@@ -166,8 +166,9 @@ def _hessian_blocks(theta, V, B, terms=None):
     np.fill_diagonal(tt, 0.0)
     np.fill_diagonal(tt, -tt.sum(axis=1))
 
-    tv = B * S * V[:, None]
-    np.fill_diagonal(tv, (B * S * V[None, :]).sum(axis=1))
+    BS = B * S
+    tv = BS * V[:, None]
+    np.fill_diagonal(tv, (BS * V[None, :]).sum(axis=1))
 
     vv = -B * C
     np.fill_diagonal(vv, -np.diag(B))
@@ -202,12 +203,29 @@ def power_flow_jacobian(theta, V, B):
     """
     V = np.asarray(V, dtype=float)
     terms = _angle_terms(theta, V, B)
-    return _jacobian(V, _balance(*terms)[1], *_hessian_blocks(theta, V, B, terms))
+    every = np.arange(V.size)
+    return _jacobian(V, _balance(*terms)[1], _hessian_blocks(theta, V, B, terms), every, every)
 
 
-def _jacobian(V, Q, tt, tv, vv):
-    """`power_flow_jacobian` from the injections Q and the `_hessian_blocks` at one point."""
-    return np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
+def _jacobian(V, Q, blocks, free_theta, free_V):
+    """The rows and columns of `power_flow_jacobian` for the free angles and magnitudes.
+
+    Rows are (P, Q) at the buses `free_theta` and `free_V`, columns (theta, V)
+    there, written from the `_hessian_blocks` at one point straight into one
+    array. Each entry takes the full Jacobian's products, so this equals the
+    full matrix's [np.ix_(rows, rows)] bit for bit.
+    """
+    tt, tv, vv = blocks
+    k, m = free_theta.size, free_V.size
+    J = np.empty((k + m, k + m))
+    tv_free = tv.take(free_theta, axis=0).take(free_V, axis=1)
+    J[:k, :k] = tt.take(free_theta, axis=0).take(free_theta, axis=1)
+    J[:k, k:] = tv_free
+    J[k:, :k] = V[free_V, None] * tv_free.T
+    J[k:, k:] = V[free_V, None] * vv.take(free_V, axis=0).take(free_V, axis=1)
+    diag = np.arange(k, k + m)
+    J[diag, diag] += Q[free_V] / V[free_V]
+    return J
 
 
 @dataclass(frozen=True)
@@ -279,10 +297,9 @@ def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50)
             return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
         if it == max_iter:
             break
-        J = _jacobian(V, Q, *_hessian_blocks(theta, V, net.B, terms))
-        rows = np.concatenate([theta_rows, n + v_rows])  # the free (theta, V) are the same indices
+        J = _jacobian(V, Q, _hessian_blocks(theta, V, net.B, terms), theta_rows, v_rows)
         try:
-            step = np.linalg.solve(J[np.ix_(rows, rows)], mismatch)
+            step = np.linalg.solve(J, mismatch)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular power flow Jacobian at iteration {it}") from exc
         theta[theta_rows] += step[:n_th]

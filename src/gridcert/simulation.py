@@ -237,13 +237,16 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0, record_every=
     AlgebraicSolveError is raised, as there is no trajectory to return. On a
     later algebraic solve failure the trajectory is truncated and returned
     with a diagnostic instead of raising. `dt` and `t_end` must be positive
-    and finite.
+    and finite, and a `t_end / dt` that overflows raises ValueError.
     """
+    n_steps = t_end / dt
+    if not np.isfinite(n_steps):
+        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
+    n_steps = int(round(n_steps))
     setpoints = eq.setpoints
     slices = system.state_slices()
     storage = _storage(system, eq)
     x = np.array(x0 if x0 is not None else eq.x(), dtype=float)
-    n_steps = int(round(t_end / dt))
 
     def rhs(x_stage, v_warm):
         """State derivative at `x_stage`, with the bus voltages solved there."""

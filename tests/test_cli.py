@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import gridcert as gc
 from gridcert import cli
 from gridcert.cli import main
 
-from _oracles import TABLE1, sweep_point, three_bus_doc
+from _oracles import TABLE1, random_system, sweep_point, three_bus_doc, voltage_regular
 
 FIXTURE = str(gc.fixture_path("three_bus.json"))
 
@@ -201,6 +202,25 @@ class TestEigen:
         assert np.allclose(sorted(spectrum, key=lambda z: (z.real, z.imag)),
                            sorted(np.conj(spectrum), key=lambda z: (z.real, z.imag)), atol=1e-9)
 
+    @pytest.mark.parametrize("mode", [[], ["--load-mode", "forming"], ["--load-mode", "following"]])
+    def test_voltage_regular_fixture_has_no_note(self, capsys, mode):
+        code, _, err = run(capsys, ["eigen", "--config", FIXTURE, "--no-timestamp", *mode])
+        assert (code, err) == (0, "verdict: stable\n")
+
+    def test_non_voltage_regular_equilibrium_noted(self, capsys, monkeypatch):
+        system, flow = random_system(np.random.default_rng(4))
+        eq = system.equilibrium(flow)
+        assert not voltage_regular(system, eq)
+        report = gc.eigenvalue_verdict(system, eq)
+        monkeypatch.setattr(cli, "_setup", lambda config, load_mode: (SimpleNamespace(system=system),
+                                                                      flow))
+        code, out, err = run(capsys, ["eigen", "--config", FIXTURE, "--no-timestamp"])
+        assert code == cli._VERDICT_EXIT[report.verdict]
+        assert len(out.splitlines()) == 1 + system.n_states
+        assert err == (f"verdict: {report.verdict}\n"
+                       "note: equilibrium is not voltage-regular (smallest algebraic-block "
+                       f"eigenvalue {report.voltage_margin:.6g})\n")
+
     def test_eigen_agrees_with_certify_exit(self, capsys, tmp_path):
         path = write_config(tmp_path, three_bus_doc(x3=(4.0, 4.0)))
         code_eig, _, _ = run(capsys, ["eigen", "--config", path, "--load-mode", "following"])
@@ -248,13 +268,15 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: vsg stationary state residual")
 
-    # step options simulate rejects before it loads the config, and the message naming each
+    # step options simulate rejects, and the message naming each: all but the last before it
+    # loads the config; the last --dt and --t-end are positive and finite, their ratio is not
     BAD_OPTIONS = [
         (["--dt", "0"], "--dt must be positive and finite, got 0.0"),
         (["--dt", "nan"], "--dt must be positive and finite, got nan"),
         (["--t-end", "inf"], "--t-end must be positive and finite, got inf"),
         (["--t-end", "-1"], "--t-end must be positive and finite, got -1.0"),
         (["--perturb", "1=inf"], "--perturb RAD must be finite, got '1=inf'"),
+        (["--dt", "1e-310", "--t-end", "1e10"], "t_end / dt must be finite, got 1e+10 / 1e-310"),
     ]
 
     @pytest.mark.parametrize("options, message", BAD_OPTIONS)

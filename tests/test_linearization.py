@@ -6,6 +6,7 @@ from gridcert.certificate import certify
 from gridcert.linearization import (
     KRON_COND_LIMIT,
     DegenerateEquilibriumError,
+    _condition,
     _kron_reduce,
     _spectra,
     _spectrum_verdicts,
@@ -16,7 +17,7 @@ from gridcert.linearization import (
     kron_reduce,
 )
 
-from _oracles import fd_hessian, random_system, solved, three_bus_doc
+from _oracles import fd_hessian, random_system, solved, three_bus_doc, voltage_regular
 
 
 def single_vsg_bus(M=0.2, D=1.3, x_d=0.10, x_q=0.069):
@@ -298,6 +299,28 @@ class TestStackedKernels:
         assert np.array_equal(S[0], kron_reduce(stack[0], n_x))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             kron_reduce(stack[1], n_x)
+
+    def test_condition_is_the_svd_condition(self, fixture_matrices):
+        H, _, n_x = fixture_matrices
+        Q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(6, 6)))
+        indefinite = (Q * [-5.0, 0.3, 2.0, -0.7, 7.0, 11.0]) @ Q.T  # smallest |eig| is inside
+        indefinite = 0.5 * (indefinite + indefinite.T)
+        blocks = np.stack([H[n_x:, n_x:], indefinite])
+        cond, lam, rejected = _condition(blocks)
+        assert rejected == {}
+        assert np.allclose(cond, np.linalg.cond(blocks), rtol=1e-12, atol=0.0)
+        assert lam[0, 0] > 0 > lam[1, 0]
+
+    def test_voltage_margin_is_the_smallest_algebraic_eigenvalue(self):
+        cfg = gc.load_config(gc.fixture_path("three_bus.json"))
+        draw, flow = random_system(np.random.default_rng(4))
+        for system, eq in ((cfg.system, cfg.system.equilibrium(solved(cfg))),
+                           (draw, draw.equilibrium(flow))):
+            lam_min = np.linalg.eigvalsh(assemble_energy_hessian(system, eq).vv)[0]
+            margin = eigenvalue_verdict(system, eq).voltage_margin
+            assert margin == pytest.approx(lam_min, rel=1e-12)
+            assert (margin > 0) == voltage_regular(system, eq)
+        assert margin < 0  # the draw is not voltage-regular
 
     def test_degenerate_equilibrium_messages(self):
         system, flow = single_vsg_bus()

@@ -7,7 +7,7 @@ import gridcert as gc
 from gridcert import network
 from gridcert.network import PQ, PV, Line, Network, PowerFlowError, Slack
 
-from _oracles import TABLE1, fd_gradient
+from _oracles import TABLE1, fd_gradient, random_system
 
 
 def test_susceptance_two_bus():
@@ -137,6 +137,39 @@ def test_solve_one_angle_pass_per_iterate(monkeypatch):
     flow = gc.solve_power_flow(net, _three_bus_specs())
     assert flow.iterations == 4
     assert len(calls) == flow.iterations + 1
+
+
+def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
+    # a 50-bus draw solved with PV and PQ buses: at every iterate the Newton loop's
+    # Jacobian is the full one's free rows and columns, bit for bit
+    system, point = random_system(np.random.default_rng(2), angle_scale=0.05, n_bus=50,
+                                  allow_loads=False)
+    specs = [Slack(float(point.theta[0]), float(point.V[0]))] + [
+        PV(P=float(point.P[i]), V=float(point.V[i])) if i % 3 == 0
+        else PQ(P=float(point.P[i]), Q=float(point.Q[i])) for i in range(1, 50)]
+    iterates, jacobians = [], []
+    angle_terms, jacobian = network._angle_terms, network._jacobian
+
+    def recording_terms(theta, V, B):
+        iterates.append((theta.copy(), V.copy()))
+        return angle_terms(theta, V, B)
+
+    def recording_jacobian(*args):
+        jacobians.append((jacobian(*args), *args[3:]))
+        return jacobians[-1][0]
+
+    monkeypatch.setattr(network, "_angle_terms", recording_terms)
+    monkeypatch.setattr(network, "_jacobian", recording_jacobian)
+    flow = gc.solve_power_flow(system.net, specs)
+    monkeypatch.undo()
+    assert flow.iterations == len(jacobians) == 5
+    assert np.max(np.abs(flow.V - point.V)) < 1e-12
+    free_theta, free_V = jacobians[0][1:]
+    assert 0 < free_V.size < free_theta.size == 49  # PV buses have a free angle only
+    rows = np.concatenate([free_theta, 50 + free_V])
+    for (theta, V), (J, *free) in zip(iterates, jacobians):
+        assert all(np.array_equal(a, b) for a, b in zip(free, (free_theta, free_V)))
+        assert np.array_equal(J, gc.power_flow_jacobian(theta, V, system.net.B)[np.ix_(rows, rows)])
 
 
 def test_solve_zero_injections_flat():

@@ -191,6 +191,11 @@ class TestSimulate:
         with pytest.raises(AlgebraicSolveError):
             simulate(cfg.system, eq, x0=perturbed_state(eq, 0, 1.0), dt=1e-3, t_end=0.01)
 
+    def test_step_count_overflow_raises(self):
+        system, eq = fast_three_bus()
+        with pytest.raises(ValueError, match=r"t_end / dt must be finite"):
+            simulate(system, eq, dt=1e-310, t_end=1e10)
+
     def test_load_bus_has_no_angle_to_perturb(self):
         system, eq = fast_three_bus(mode="following")
         with pytest.raises(ValueError, match="bus 1 hosts a load"):

@@ -73,9 +73,9 @@ def test_overflowing_closed_forms_are_certificate_infeasible(fixture_cfg, monkey
     assert stiffness_row[1][2] in ("stable", "unstable")
 
 
-@pytest.mark.parametrize("name, column", [("eigh", 2), ("cond", 3)])
+@pytest.mark.parametrize("name, column", [("eigh", 2), ("eigvalsh", 3)])
 def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, column):
-    # eigh takes the certificate's condition matrices, cond the Kron blocks H_vv
+    # eigh takes the certificate's condition matrices, eigvalsh the Kron blocks H_vv
     cfg = gc.apply_load_mode(fixture_cfg, "forming")
     flow = solved(cfg)
     grid = ([0.1, 4.0], [0.069, 4.0])
