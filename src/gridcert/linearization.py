@@ -163,20 +163,19 @@ def kron_reduce(H, n_keep):
     symmetric, so its condition number is the ratio of its largest to its
     smallest |eigenvalue|, which is its 2-norm condition number.
     """
-    S, errors = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)
+    S, errors, _ = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)
     _raise_first(errors)
     return S[0]
 
 
-def _kron_reduce(H, n_keep, return_margins=False):
+def _kron_reduce(H, n_keep):
     """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order.
 
-    With `return_margins`, also the smallest eigenvalue of each accepted
-    trailing block: its voltage-regularity margin, positive where regular.
+    Also returns the smallest eigenvalue of each accepted trailing block: its
+    voltage-regularity margin, positive where regular.
     """
     if H.shape[-1] == n_keep:
-        S, errors, margins = H.copy(), {}, np.full(len(H), np.inf)
-        return (S, errors, margins) if return_margins else (S, errors)
+        return H.copy(), {}, np.full(len(H), np.inf)
     Hvv = H[:, n_keep:, n_keep:]
     ok = np.isfinite(Hvv).all(axis=(1, 2))
     # a non-finite block has no condition number, and LAPACK prints errors on some
@@ -192,7 +191,7 @@ def _kron_reduce(H, n_keep, return_margins=False):
     Hxv = H[:, :n_keep, n_keep:]
     S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(H[:, n_keep:, n_keep:], Hxv.swapaxes(1, 2))
     S = 0.5 * (S + S.swapaxes(1, 2))
-    return (S, errors, lam[cond <= KRON_COND_LIMIT, 0]) if return_margins else (S, errors)
+    return S, errors, lam[cond <= KRON_COND_LIMIT, 0]
 
 
 def _condition(A):
@@ -285,7 +284,7 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
     if system.n_states == 0:
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
-    S, errors, margins = _kron_reduce(H.matrix[None], H.n_states, return_margins=True)
+    S, errors, margins = _kron_reduce(H.matrix[None], H.n_states)
     _raise_first(errors)
     eig, errors = _spectra(damping_matrix(system)[None], S)
     _raise_first(errors)

@@ -212,19 +212,21 @@ def _jacobian(V, Q, blocks, free_theta, free_V):
 
     Rows are (P, Q) at the buses `free_theta` and `free_V`, columns (theta, V)
     there, written from the `_hessian_blocks` at one point straight into one
-    array. Each entry takes the full Jacobian's products, so this equals the
-    full matrix's [np.ix_(rows, rows)] bit for bit.
+    array. Each entry takes the full Jacobian's products and sums; adding
+    diag(Q/V) as a whole matrix also turns the off-diagonal -0.0 of -B * C
+    into +0.0, as in the full one. So this equals the full matrix's
+    [np.ix_(rows, rows)] bit for bit, signs of zeros included.
     """
     tt, tv, vv = blocks
-    k, m = free_theta.size, free_V.size
-    J = np.empty((k + m, k + m))
+    k = free_theta.size
+    V_free = V[free_V]
+    J = np.empty((k + free_V.size,) * 2)
     tv_free = tv.take(free_theta, axis=0).take(free_V, axis=1)
     J[:k, :k] = tt.take(free_theta, axis=0).take(free_theta, axis=1)
     J[:k, k:] = tv_free
-    J[k:, :k] = V[free_V, None] * tv_free.T
-    J[k:, k:] = V[free_V, None] * vv.take(free_V, axis=0).take(free_V, axis=1)
-    diag = np.arange(k, k + m)
-    J[diag, diag] += Q[free_V] / V[free_V]
+    J[k:, :k] = V_free[:, None] * tv_free.T
+    vv_free = vv.take(free_V, axis=0).take(free_V, axis=1)
+    J[k:, k:] = V_free[:, None] * vv_free + np.diag(Q[free_V] / V_free)
     return J
 
 

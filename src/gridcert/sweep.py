@@ -147,7 +147,7 @@ class _FlowInvariants:
         _add_device_block(H, np.array(hessians), self.states, self.bus_col)
         R = np.repeat(self.R[None], len(points), axis=0)
         R[:, self.states, self.states] = np.array(dampings)
-        S, errors = _kron_reduce(H, self.n_x)
+        S, errors, _ = _kron_reduce(H, self.n_x)
         keep, points = _settle(out, 1, points, errors)
         # a spectrum LAPACK rejects is all inf, which has no zero mode
         verdicts, _, errors = _spectrum_verdicts(_spectra(R[keep], S)[0])

@@ -248,7 +248,7 @@ class TestStackedKernels:
         for _ in range(4):
             E = rng.normal(scale=1e-3, size=H.shape)
             stack.append(H + E + E.T)
-        S, errors = _kron_reduce(np.stack(stack), n_x)
+        S, errors, _ = _kron_reduce(np.stack(stack), n_x)
         assert errors == {}
         for Hk, Sk in zip(stack, S):
             assert np.array_equal(kron_reduce(Hk, n_x), Sk)
@@ -263,9 +263,10 @@ class TestStackedKernels:
             messages.append(str(exc.value))
         assert messages[0] == "algebraic block is not finite"
         assert messages[1].startswith("algebraic block numerically singular")
-        S, errors = _kron_reduce(np.stack([H, not_finite, singular, H]), n_x)
+        S, errors, margins = _kron_reduce(np.stack([H, not_finite, singular, H]), n_x)
         assert [str(errors[k]) for k in sorted(errors)] == messages
         assert np.array_equal(S, np.stack([kron_reduce(H, n_x)] * 2))
+        assert np.array_equal(margins, [np.linalg.eigvalsh(H[n_x:, n_x:])[0]] * 2)
 
     def test_lapack_failure_stays_with_its_matrix(self, fixture_matrices):
         H, R, n_x = fixture_matrices
@@ -276,7 +277,7 @@ class TestStackedKernels:
         with np.errstate(invalid="ignore"):  # inf times the zeros of R
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvals(-R @ kron_reduce(bad_spectrum, n_x))
-            S, errors = _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
+            S, errors, _ = _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
             assert list(errors) == [1] and "not finite" in str(errors[1])
             eig, errors = _spectra(np.stack([R] * 3), S)
         assert list(errors) == [1]
@@ -294,7 +295,7 @@ class TestStackedKernels:
             stack.append(Hs)
         conds = [np.linalg.cond(Hs[n_x:, n_x:]) for Hs in stack]
         assert 1e6 < conds[0] < KRON_COND_LIMIT < conds[1] < np.inf
-        S, errors = _kron_reduce(np.stack(stack), n_x)
+        S, errors, _ = _kron_reduce(np.stack(stack), n_x)
         assert list(errors) == [1] and len(S) == 1
         assert np.array_equal(S[0], kron_reduce(stack[0], n_x))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):

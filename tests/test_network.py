@@ -141,7 +141,8 @@ def test_solve_one_angle_pass_per_iterate(monkeypatch):
 
 def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
     # a 50-bus draw solved with PV and PQ buses: at every iterate the Newton loop's
-    # Jacobian is the full one's free rows and columns, bit for bit
+    # Jacobian is the full one's free rows and columns, and the full one the documented
+    # block formula, bit for bit
     system, point = random_system(np.random.default_rng(2), angle_scale=0.05, n_bus=50,
                                   allow_loads=False)
     specs = [Slack(float(point.theta[0]), float(point.V[0]))] + [
@@ -169,7 +170,13 @@ def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
     rows = np.concatenate([free_theta, 50 + free_V])
     for (theta, V), (J, *free) in zip(iterates, jacobians):
         assert all(np.array_equal(a, b) for a, b in zip(free, (free_theta, free_V)))
-        assert np.array_equal(J, gc.power_flow_jacobian(theta, V, system.net.B)[np.ix_(rows, rows)])
+        # the documented block formula, assembled as a whole; compared with signs of zeros
+        tt, tv, vv = network._hessian_blocks(theta, V, system.net.B)
+        Q = gc.power_balance(theta, V, system.net)[1]
+        full = np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
+        bits = gc.power_flow_jacobian(theta, V, system.net.B).view(np.uint64)
+        assert np.array_equal(bits, full.view(np.uint64))
+        assert np.array_equal(J.view(np.uint64), full[np.ix_(rows, rows)].view(np.uint64))
 
 
 def test_solve_zero_injections_flat():
