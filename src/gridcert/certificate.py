@@ -13,7 +13,8 @@ Verdicts are stable / unstable / marginal; the rotational zero mode is
 deflated by projection before the eigenvalue test so it cannot mask genuine
 negative modes. Each decision of the test is made by one kernel on a stack of
 points, which `certify` runs on a stack of one and the reactance sweep on a
-grid row; a point a kernel cannot decide gets an error, keyed by its index.
+grid row. A kernel raises if it rejects any point of its stack, as numpy's
+LAPACK wrappers do; non-finite closed forms are rejected before LAPACK.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import CapabilityError, ConstantPowerLoad, internal_phase
-from .linearization import _raise_first, _stacked
 from .network import network_hessian
 
 __all__ = [
@@ -114,17 +114,14 @@ def _complement_basis(unit):
 def deflated_min_eig(M, null_unit):
     """Smallest eigenvalue and eigenvector of M restricted to the complement of null_unit."""
     Z = _complement_basis(null_unit)
-    vals, vecs, errors = _deflated_eigh(M[None], Z)
-    _raise_first(errors)
+    vals, vecs = _deflated_eigh(M[None], Z)
     return float(vals[0]), Z @ vecs[0]
 
 
 def _deflated_eigh(M, Z):
-    """Smallest eigenpair of Z^T M Z for each M of a stack; nan where LAPACK rejects one."""
-    m = Z.shape[1]
-    (vals, vecs), errors = _stacked(np.linalg.eigh, Z.T @ M @ Z,
-                                    lambda: (np.full(m, np.nan), np.full((m, m), np.nan)))
-    return vals[:, 0], vecs[:, :, 0], errors
+    """Smallest eigenpair of Z^T M Z for each M of a stack."""
+    vals, vecs = np.linalg.eigh(Z.T @ M @ Z)
+    return vals[:, 0], vecs[:, :, 0]
 
 
 def _check_balance(system, flow):
@@ -147,24 +144,23 @@ def _stiffness_block(dev, op):
 
 def _gamma_gate(G, ids, tol=CERT_TOL):
     """Per row of coefficients G (a column per bus of `ids`): the verdict or None, and worst bus."""
-    errors = _not_finite(G, ids, "synchronizing coefficient")
-    return _band(G.min(axis=1), None, tol), [ids[j] for j in np.argmin(G, axis=1)], errors
+    _check_finite(G, ids, "synchronizing coefficient")
+    return _band(G.min(axis=1), None, tol), [ids[j] for j in np.argmin(G, axis=1)]
 
 
 def _add_stiffness(M, blocks, ids):
-    """Add blocks[k, i] (bus ids[i]) to its diagonal block of M[k] in place; errors where not finite."""
+    """Add blocks[k, i] (bus ids[i]) to its diagonal block of M[k] in place, if all are finite."""
+    _check_finite(blocks[:, :, 1, 1], ids, "(V, V) stiffness")
     for i in range(blocks.shape[1]):
         M[:, 2 * i:2 * i + 2, 2 * i:2 * i + 2] += blocks[:, i]
-    return _not_finite(blocks[:, :, 1, 1], ids, "(V, V) stiffness")
 
 
-def _not_finite(values, ids, name):
-    """A CertificateError for each row of `values` with a non-finite entry, naming its first bus."""
-    errors = {}
-    for k, j in zip(*np.nonzero(~np.isfinite(values))):
-        message = f"{name} at bus {ids[j]} is not finite ({values[k, j]})"
-        errors.setdefault(int(k), CertificateError(message))
-    return errors
+def _check_finite(values, ids, name):
+    """Raise a CertificateError for the first non-finite entry of `values`, naming its bus."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        k, j = bad[0]
+        raise CertificateError(f"{name} at bus {ids[j]} is not finite ({values[k, j]})")
 
 
 def _band(x, above, tol=CERT_TOL):
@@ -224,14 +220,13 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
               for i, (dev, op) in enumerate(zip(system.devices, ops))
               if not isinstance(dev, ConstantPowerLoad)}
     if gammas:
-        verdicts, worst, errors = _gamma_gate(np.array([list(gammas.values())]), list(gammas), tol)
-        _raise_first(errors)
+        verdicts, worst = _gamma_gate(np.array([list(gammas.values())]), list(gammas), tol)
         if verdicts[0] is not None:
             return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
     M = network_hessian(flow.theta, flow.V, system.net.B)
     blocks = np.array([_stiffness_block(dev, ops[i]) for i, dev in enumerate(system.devices)])
-    _raise_first(_add_stiffness(M[None], blocks[None], ids))
+    _add_stiffness(M[None], blocks[None], ids)
 
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))

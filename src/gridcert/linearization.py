@@ -10,13 +10,13 @@ stability is decided from the spectrum of the reduced state matrix
 where R collects per-device damping/interconnection blocks. A carries exactly
 one structural zero eigenvalue (the uniform rotation of all angles). Each step
 of the oracle is one kernel on a stack of matrices, which `eigenvalue_verdict`
-runs on a stack of one and the reactance sweep on a grid row; a matrix a
-kernel rejects gets an error, keyed by its stack index.
+runs on a stack of one and the reactance sweep on a grid row. A kernel raises
+if it rejects any matrix of its stack, as numpy's LAPACK wrappers do; a
+non-finite algebraic block is rejected before LAPACK sees it.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,35 +163,32 @@ def kron_reduce(H, n_keep):
     symmetric, so its condition number is the ratio of its largest to its
     smallest |eigenvalue|, which is its 2-norm condition number.
     """
-    S, errors, _ = _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)
-    _raise_first(errors)
-    return S[0]
+    return _kron_reduce(np.asarray(H, dtype=float)[None], n_keep)[0][0]
 
 
 def _kron_reduce(H, n_keep):
-    """`kron_reduce` on a stack: the complements of the matrices it accepts, in stack order.
+    """`kron_reduce` on a stack; raises if it rejects any matrix of the stack.
 
-    Also returns the smallest eigenvalue of each accepted trailing block: its
+    Also returns the smallest eigenvalue of each trailing block: its
     voltage-regularity margin, positive where regular.
     """
     if H.shape[-1] == n_keep:
-        return H.copy(), {}, np.full(len(H), np.inf)
+        return H.copy(), np.full(len(H), np.inf)
     Hvv = H[:, n_keep:, n_keep:]
-    ok = np.isfinite(Hvv).all(axis=(1, 2))
-    # a non-finite block has no condition number, and LAPACK prints errors on some
-    errors = {int(k): np.linalg.LinAlgError("algebraic block is not finite")
-              for k in np.flatnonzero(~ok)}
-    cond, lam, rejected = _condition(Hvv if ok.all() else Hvv[ok])
-    for j in np.flatnonzero(~(cond <= KRON_COND_LIMIT)):  # rejected by LAPACK (nan) or ill-conditioned
-        errors[int(np.flatnonzero(ok)[j])] = rejected.get(j) or np.linalg.LinAlgError(
-            f"algebraic block numerically singular (condition {cond[j]:.3e} > {KRON_COND_LIMIT:.1e})"
+    if not np.isfinite(Hvv).all():
+        # a non-finite block has no condition number, and LAPACK prints errors on some
+        raise np.linalg.LinAlgError("algebraic block is not finite")
+    cond, lam = _condition(Hvv)
+    rejected = cond[~(cond <= KRON_COND_LIMIT)]  # a nan fails the limit too
+    if rejected.size:
+        raise np.linalg.LinAlgError(
+            f"algebraic block numerically singular (condition {rejected[0]:.3e} > "
+            f"{KRON_COND_LIMIT:.1e})"
         )
-    ok[list(errors)] = False
-    H = H if ok.all() else H[ok]  # no copy of a stack it accepts whole
     Hxv = H[:, :n_keep, n_keep:]
-    S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(H[:, n_keep:, n_keep:], Hxv.swapaxes(1, 2))
+    S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(Hvv, Hxv.swapaxes(1, 2))
     S = 0.5 * (S + S.swapaxes(1, 2))
-    return S, errors, lam[cond <= KRON_COND_LIMIT, 0]
+    return S, lam[:, 0]
 
 
 def _condition(A):
@@ -199,66 +196,44 @@ def _condition(A):
 
     The singular values of a symmetric matrix are its |eigenvalues|, so one
     `eigvalsh` gives the ratio of the extreme singular values. A singular
-    matrix has condition inf; a matrix LAPACK rejects has nan for both, and
-    its LinAlgError is returned by stack index.
+    matrix has condition inf.
     """
-    lam, rejected = _stacked(np.linalg.eigvalsh, A, lambda: np.full(A.shape[-1], np.nan))
+    lam = np.linalg.eigvalsh(A)
     mags = np.abs(lam)
     smallest = mags.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest), lam, rejected
+        return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest), lam
 
 
 def _spectra(R, S):
-    """Spectra of the state matrices -R S of a stack; all inf (no zero mode) where LAPACK fails."""
-    return _stacked(np.linalg.eigvals, -R @ S, lambda: np.full(S.shape[-1], np.inf))
+    """Spectra of the state matrices -R S of a stack."""
+    return np.linalg.eigvals(-R @ S)
 
 
 def _spectrum_verdicts(eig, tol=EIG_TOL):
     """`eigenvalue_verdict`'s verdict and zero-mode index for each row of a stack of spectra.
 
-    The verdict does not depend on how a spectrum is sorted.
+    Raises DegenerateEquilibriumError for the first spectrum without exactly
+    one eigenvalue within `tol` of zero. The verdict does not depend on how a
+    spectrum is sorted.
     """
     rows = np.arange(len(eig))
     mods = np.abs(eig)
     zero = np.argmin(mods, axis=1)
     near_zero = np.sum(mods <= tol, axis=1)
-    errors = {int(k): DegenerateEquilibriumError(
-        f"degenerate equilibrium: {near_zero[k]} eigenvalues within {tol:.1e} of zero"
-        if near_zero[k] > 1 else
-        f"no structural zero mode found (smallest |eig| = {mods[k, zero[k]]:.3e})"
-    ) for k in np.flatnonzero((near_zero > 1) | (mods[rows, zero] > tol))}
+    rejected = np.flatnonzero((near_zero > 1) | (mods[rows, zero] > tol))
+    if rejected.size:
+        k = rejected[0]
+        raise DegenerateEquilibriumError(
+            f"degenerate equilibrium: {near_zero[k]} eigenvalues within {tol:.1e} of zero"
+            if near_zero[k] > 1 else
+            f"no structural zero mode found (smallest |eig| = {mods[k, zero[k]]:.3e})"
+        )
     rest = np.array(eig.real)
     rest[rows, zero] = -np.inf  # a spectrum of the zero mode alone is stable
     top = rest.max(axis=1)
     verdicts = np.where(top < -tol, "stable", np.where(top > tol, "unstable", "marginal"))
-    return verdicts.tolist(), zero, errors
-
-
-def _stacked(fn, stack, fill):
-    """`fn` over a stack of matrices in one call, and the LinAlgError of each matrix LAPACK rejects.
-
-    If LAPACK rejects the stack, the matrices are redone one at a time, so a
-    bad matrix, whose result becomes `fill()`, does not sink the others.
-    """
-    with contextlib.suppress(np.linalg.LinAlgError):
-        return fn(stack), {}
-    results, errors = [], {}
-    for k, a in enumerate(stack):
-        try:
-            results.append(fn(a))
-        except np.linalg.LinAlgError as exc:
-            results.append(fill())
-            errors[k] = exc
-    if isinstance(results[0], tuple):  # one stack per part of each result
-        return tuple(np.array(part) for part in zip(*results)), errors
-    return np.array(results), errors
-
-
-def _raise_first(errors):
-    """Raise the error of the lowest stack index, if any."""
-    if errors:
-        raise errors[min(errors)]
+    return verdicts.tolist(), zero
 
 
 @dataclass
@@ -284,13 +259,10 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
     if system.n_states == 0:
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
-    S, errors, margins = _kron_reduce(H.matrix[None], H.n_states)
-    _raise_first(errors)
-    eig, errors = _spectra(damping_matrix(system)[None], S)
-    _raise_first(errors)
-    eig = eig[0][np.lexsort((eig[0].imag, eig[0].real))]
-    verdicts, zero, errors = _spectrum_verdicts(eig[None], tol_eig)
-    _raise_first(errors)
+    S, margins = _kron_reduce(H.matrix[None], H.n_states)
+    eig = _spectra(damping_matrix(system)[None], S)[0]
+    eig = eig[np.lexsort((eig.imag, eig.real))]
+    verdicts, zero = _spectrum_verdicts(eig[None], tol_eig)
     return EigenReport(
         eigenvalues=eig,
         verdict=verdicts[0],

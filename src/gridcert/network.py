@@ -105,17 +105,11 @@ def build_susceptance(n_bus, lines):
 
 
 def _check_connected(n_bus, B):
-    if n_bus == 1:
-        return
-    seen = np.zeros(n_bus, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(B[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
+    """Raise unless every bus is reachable from bus 0 over lines, one breadth level at a time."""
+    seen = frontier = np.arange(n_bus) == 0
+    while frontier.any():
+        frontier = (B[frontier] > 0).any(axis=0) & ~seen
+        seen = seen | frontier
     if not seen.all():
         missing = np.nonzero(~seen)[0].tolist()
         raise ValueError(f"line graph is disconnected; unreachable buses {missing}")
@@ -144,12 +138,11 @@ def _angle_terms(theta, V, B):
 def power_balance(theta, V, net):
     """Evaluate the lossless power balance at every bus.
 
-    Returns (P, Q) arrays. `net` may be a Network or a susceptance matrix.
+    Returns (P, Q) arrays at the buses of Network `net`.
     The angle terms go through `_balance`, the one (P, Q) reduction that the
     power flow and the simulator also use, so all three agree bit for bit.
     """
-    B = net.B if isinstance(net, Network) else np.asarray(net)
-    return _balance(*_angle_terms(theta, V, B))
+    return _balance(*_angle_terms(theta, V, net.B))
 
 
 def _balance(C, S, W):

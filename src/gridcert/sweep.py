@@ -6,6 +6,9 @@ energy blocks are computed once per system and flow (`_FlowInvariants`).
 Each X_d row of the grid then goes as one stack of its X_q points through the
 kernels that `certify` and `eigenvalue_verdict` run on a stack of one, so
 every point's verdicts and `min_eig` are those of evaluating it on its own.
+A kernel raises if it rejects any point of its stack; the sweep then halves
+the stack and evaluates each half again, until the failing point stands alone
+and is infeasible in that column. A clean row takes one call per kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .certificate import (
 )
 from .devices import CapabilityError, ConstantPowerLoad
 from .linearization import (
+    DegenerateEquilibriumError,
     _add_device_block,
     _kron_reduce,
     _residual_error,
@@ -117,50 +121,52 @@ class _FlowInvariants:
             if self.equilibrium and (blocks := _device_blocks(dev, self.theta, self.op, self.omega0)):
                 eig.append((k, *blocks))
         if cert:
-            self._certify(out, *zip(*cert))
+            _settle(out, 0, self._certify, *zip(*cert))
         if eig:
-            self._eigen(out, *zip(*eig))
+            _settle(out, 1, self._eigen, *zip(*eig))
         return out
 
     def _certify(self, out, points, gammas, devices):
         G = np.repeat(self.gammas[None], len(points), axis=0)
         G[:, self.col] = gammas
-        verdicts, _, errors = _gamma_gate(G, self.gens)
-        keep, kept = _settle(out, 0, points, errors)
-        for j, k in zip(keep, kept):
-            out[k][0] = verdicts[j]
-        matrix = [j for j in keep if verdicts[j] is None]  # the points the condition matrix decides
-        if not matrix:
-            return
-        blocks = np.repeat(self.blocks[None], len(matrix), axis=0)
-        blocks[:, self.bus] = [_stiffness_block(devices[j], self.op) for j in matrix]
-        M = np.repeat(self.nh[None], len(matrix), axis=0)
-        errors = _add_stiffness(M, blocks, range(blocks.shape[1]))
-        keep, points = _settle(out, 0, [points[j] for j in matrix], errors)
-        min_eigs, _, errors = _deflated_eigh(M[keep], self.Z)
-        verdicts = _band(min_eigs, "stable")
-        for j, k in zip(*_settle(out, 0, points, errors)):
-            out[k][0], out[k][2] = verdicts[j], float(min_eigs[j])
+        verdicts, _ = _gamma_gate(G, self.gens)
+        min_eigs = [None] * len(points)
+        matrix = [j for j, v in enumerate(verdicts) if v is None]  # what the condition matrix decides
+        if matrix:
+            blocks = np.repeat(self.blocks[None], len(matrix), axis=0)
+            blocks[:, self.bus] = [_stiffness_block(devices[j], self.op) for j in matrix]
+            M = np.repeat(self.nh[None], len(matrix), axis=0)
+            _add_stiffness(M, blocks, range(blocks.shape[1]))
+            lam = _deflated_eigh(M, self.Z)[0]
+            for j, v, m in zip(matrix, _band(lam, "stable"), lam):
+                verdicts[j], min_eigs[j] = v, float(m)
+        for k, v, m in zip(points, verdicts, min_eigs):
+            out[k][0], out[k][2] = v, m
 
     def _eigen(self, out, points, hessians, dampings):
         H = np.repeat(self.H[None], len(points), axis=0)
         _add_device_block(H, np.array(hessians), self.states, self.bus_col)
         R = np.repeat(self.R[None], len(points), axis=0)
         R[:, self.states, self.states] = np.array(dampings)
-        S, errors, _ = _kron_reduce(H, self.n_x)
-        keep, points = _settle(out, 1, points, errors)
-        # a spectrum LAPACK rejects is all inf, which has no zero mode
-        verdicts, _, errors = _spectrum_verdicts(_spectra(R[keep], S)[0])
-        for j, k in zip(*_settle(out, 1, points, errors)):
-            out[k][1] = verdicts[j]
+        verdicts, _ = _spectrum_verdicts(_spectra(R, _kron_reduce(H, self.n_x)[0]))
+        for k, v in zip(points, verdicts):
+            out[k][1] = v
 
 
-def _settle(out, column, points, errors):
-    """Mark infeasible in `column` the points a kernel rejects; positions and points of the rest."""
-    for j in errors:
-        out[points[j]][column] = "infeasible"
-    keep = [j for j in range(len(points)) if j not in errors]
-    return keep, [points[j] for j in keep]
+def _settle(out, column, evaluate, points, *stacks):
+    """Run `evaluate(out, points, *stacks)`; where it raises, run each half of the stack again.
+
+    A point that still raises on its own is infeasible in `column`.
+    """
+    try:
+        evaluate(out, points, *stacks)
+    except (CertificateError, DegenerateEquilibriumError, np.linalg.LinAlgError):
+        if len(points) == 1:
+            out[points[0]][column] = "infeasible"
+            return
+        half = len(points) // 2
+        for part in (slice(None, half), slice(half, None)):
+            _settle(out, column, evaluate, points[part], *(stack[part] for stack in stacks))
 
 
 def _device_blocks(dev, theta, op, omega0):

@@ -431,6 +431,9 @@ class TestSweep:
         # bus 2's own synchronizing coefficient is negative, whatever bus 3's reactances
         "bus3-bus2-decides": (NEGATIVE_GAMMA_VSG, 3, ["forming"], (0.1, 12, 4), (0.1, 12, 4),
                               {"gamma"}),
+        # the Kron condition limit rejects the X_q = 1e-10 column and the (1e-6, 4) point
+        "bus3-kron-rejects": (None, 3, ["forming", "following"], (1e-6, 0.1, 4), (1e-10, 12, 4),
+                              {"stable", "infeasible"}),
     }
 
     @pytest.mark.parametrize("grid", list(ORACLE_GRIDS))

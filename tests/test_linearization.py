@@ -239,7 +239,11 @@ def fixture_matrices():
 
 
 class TestStackedKernels:
-    """The kernels `eigenvalue_verdict` runs on a stack of one, on stacks of several."""
+    """The kernels `eigenvalue_verdict` runs on a stack of one, on stacks of several.
+
+    A kernel raises if it rejects any matrix of its stack, with the error that
+    matrix raises on its own.
+    """
 
     def test_kron_reduce_stack_equals_each_matrix(self, fixture_matrices):
         H, _, n_x = fixture_matrices
@@ -248,8 +252,7 @@ class TestStackedKernels:
         for _ in range(4):
             E = rng.normal(scale=1e-3, size=H.shape)
             stack.append(H + E + E.T)
-        S, errors, _ = _kron_reduce(np.stack(stack), n_x)
-        assert errors == {}
+        S, _ = _kron_reduce(np.stack(stack), n_x)
         for Hk, Sk in zip(stack, S):
             assert np.array_equal(kron_reduce(Hk, n_x), Sk)
         not_finite = H.copy()
@@ -261,29 +264,41 @@ class TestStackedKernels:
             with pytest.raises(np.linalg.LinAlgError) as exc:
                 kron_reduce(bad, n_x)
             messages.append(str(exc.value))
+            with pytest.raises(np.linalg.LinAlgError) as exc:
+                _kron_reduce(np.stack([H, bad, H]), n_x)
+            assert str(exc.value) == messages[-1]
         assert messages[0] == "algebraic block is not finite"
         assert messages[1].startswith("algebraic block numerically singular")
-        S, errors, margins = _kron_reduce(np.stack([H, not_finite, singular, H]), n_x)
-        assert [str(errors[k]) for k in sorted(errors)] == messages
+        S, margins = _kron_reduce(np.stack([H, H]), n_x)
         assert np.array_equal(S, np.stack([kron_reduce(H, n_x)] * 2))
         assert np.array_equal(margins, [np.linalg.eigvalsh(H[n_x:, n_x:])[0]] * 2)
 
-    def test_lapack_failure_stays_with_its_matrix(self, fixture_matrices):
+    def test_lapack_failure_stays_with_its_matrix(self, fixture_matrices, monkeypatch):
         H, R, n_x = fixture_matrices
         bad_kron = H.copy()
         bad_kron[n_x, n_x] = np.nan  # screened before LAPACK sees it
         bad_spectrum = H.copy()
         bad_spectrum[0, 0] = np.inf  # the stacked eigvals raises
+        eigvalsh, blocks = np.linalg.eigvalsh, []
+
+        def recording_eigvalsh(a):
+            blocks.append(a)
+            return eigvalsh(a)
+
         with np.errstate(invalid="ignore"):  # inf times the zeros of R
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvals(-R @ kron_reduce(bad_spectrum, n_x))
-            S, errors, _ = _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
-            assert list(errors) == [1] and "not finite" in str(errors[1])
-            eig, errors = _spectra(np.stack([R] * 3), S)
-        assert list(errors) == [1]
-        verdicts, _, degenerate = _spectrum_verdicts(eig)
-        assert list(degenerate) == [1]  # an all-inf spectrum has no zero mode
-        assert verdicts[0] == verdicts[2] == "stable"
+            monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                _kron_reduce(np.stack([H, bad_kron, bad_spectrum, H]), n_x)
+            assert blocks == []
+            S, _ = _kron_reduce(np.stack([H, bad_spectrum, H]), n_x)
+            with pytest.raises(np.linalg.LinAlgError):
+                _spectra(np.stack([R] * 3), S)
+        eig = _spectra(np.stack([R] * 2), S[[0, 2]])
+        assert np.array_equal(eig, np.stack([np.linalg.eigvals(-R @ kron_reduce(H, n_x))] * 2))
+        verdicts, _ = _spectrum_verdicts(eig)
+        assert verdicts == ["stable", "stable"]
 
     def test_kron_condition_limit(self, fixture_matrices):
         H, _, n_x = fixture_matrices
@@ -295,8 +310,9 @@ class TestStackedKernels:
             stack.append(Hs)
         conds = [np.linalg.cond(Hs[n_x:, n_x:]) for Hs in stack]
         assert 1e6 < conds[0] < KRON_COND_LIMIT < conds[1] < np.inf
-        S, errors, _ = _kron_reduce(np.stack(stack), n_x)
-        assert list(errors) == [1] and len(S) == 1
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _kron_reduce(np.stack(stack), n_x)
+        S, _ = _kron_reduce(np.stack(stack[:1]), n_x)
         assert np.array_equal(S[0], kron_reduce(stack[0], n_x))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             kron_reduce(stack[1], n_x)
@@ -307,8 +323,7 @@ class TestStackedKernels:
         indefinite = (Q * [-5.0, 0.3, 2.0, -0.7, 7.0, 11.0]) @ Q.T  # smallest |eig| is inside
         indefinite = 0.5 * (indefinite + indefinite.T)
         blocks = np.stack([H[n_x:, n_x:], indefinite])
-        cond, lam, rejected = _condition(blocks)
-        assert rejected == {}
+        cond, lam = _condition(blocks)
         assert np.allclose(cond, np.linalg.cond(blocks), rtol=1e-12, atol=0.0)
         assert lam[0, 0] > 0 > lam[1, 0]
 
@@ -328,8 +343,14 @@ class TestStackedKernels:
         with pytest.raises(DegenerateEquilibriumError) as exc:
             eigenvalue_verdict(system, system.equilibrium(flow), tol_eig=100.0)
         assert str(exc.value) == "degenerate equilibrium: 2 eigenvalues within 1.0e+02 of zero"
-        _, _, errors = _spectrum_verdicts(np.array([[0.0, 1e-8, -1.0], [-1e-3, -1.0, -2.0]]))
-        assert [str(e) for e in errors.values()] == [
+        degenerate, no_zero = [0.0, 1e-8, -1.0], [-1e-3, -1.0, -2.0]
+        messages = []
+        for spectra in ([degenerate], [no_zero], [no_zero, degenerate]):
+            with pytest.raises(DegenerateEquilibriumError) as exc:
+                _spectrum_verdicts(np.array(spectra))
+            messages.append(str(exc.value))
+        assert messages == [
             "degenerate equilibrium: 2 eigenvalues within 1.0e-07 of zero",
             "no structural zero mode found (smallest |eig| = 1.000e-03)",
+            "no structural zero mode found (smallest |eig| = 1.000e-03)",  # the first in the stack
         ]

@@ -1,9 +1,11 @@
 """Batched sweep evaluation against the one-point-at-a-time library calls it replaces.
 
 Byte equality of whole sweeps with the per-point oracle is tested in
-test_cli.py; these tests cover what those grids cannot reach. The kernels
-the sweep shares with `certify` and `eigenvalue_verdict` are tested beside
-them, in test_certificate.py and test_linearization.py.
+test_cli.py; these tests cover what those grids cannot reach: a stack a
+kernel rejects is halved until the rejected point stands alone, and a clean
+row is evaluated by one stacked call per kernel. The kernels the sweep
+shares with `certify` and `eigenvalue_verdict` are tested beside them, in
+test_certificate.py and test_linearization.py.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 import gridcert as gc
 from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
-from gridcert.linearization import _spectrum_verdicts
+from gridcert.linearization import DegenerateEquilibriumError, _spectrum_verdicts
 from gridcert.sweep import sweep_verdicts
 
 from _oracles import solved, sweep_point, three_bus_doc
@@ -36,9 +38,11 @@ def test_spectrum_verdicts(spectrum, verdict):
     spectra = np.array([spectrum, spectrum], dtype=complex)
     inputs = [spectra, spectra.real] if np.isrealobj(np.array(spectrum)) else [spectra]
     for eig in inputs:
-        verdicts, _, errors = _spectrum_verdicts(eig)
-        got = ["infeasible" if k in errors else v for k, v in enumerate(verdicts)]
-        assert got == [verdict, verdict]
+        if verdict == "infeasible":
+            with pytest.raises(DegenerateEquilibriumError):
+                _spectrum_verdicts(eig)
+        else:
+            assert _spectrum_verdicts(eig)[0] == [verdict, verdict]
 
 
 def test_load_bus_rejected(fixture_cfg):
@@ -83,16 +87,19 @@ def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, co
     assert all(row[2] in ("stable", "unstable") for row in expected)
     assert all(row[3] in ("stable", "unstable") for row in expected)
     original = getattr(np.linalg, name)
-    calls = []
+    target, sizes = [], []
 
-    def fussy(a):  # rejects every stack, and the first matrix redone on its own
-        calls.append(a.ndim)
-        if a.ndim == 3 or calls.count(2) == 1:
+    def fussy(a):  # rejects every stack that holds the first point's matrix
+        if not target:
+            target.append(a[0].copy())
+        sizes.append(len(a))
+        if any(np.array_equal(m, target[0]) for m in a):
             raise np.linalg.LinAlgError("rejected")
         return original(a)
 
     monkeypatch.setattr(np.linalg, name, fussy)
     rows = list(sweep_verdicts(cfg.system, flow, 2, *grid))
+    assert sizes == [2, 1, 1, 2]  # the first row, then each of its halves, then the second row
     first = list(expected[0])
     first[column] = "infeasible"
     if name == "eigh":
@@ -125,3 +132,19 @@ def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
     assert rows == expected
     assert {v_eig for _, v_eig, _ in rows} == {"infeasible"}
     assert all(v_cert in ("stable", "unstable") and min_eig for v_cert, _, min_eig in rows)
+
+
+def test_clean_rows_take_one_call_per_kernel(fixture_cfg, monkeypatch):
+    # the benchmark grid: no kernel rejects a point, so no row is evaluated twice
+    calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        def counting(a, _original=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _original(a)
+        monkeypatch.setattr(np.linalg, name, counting)
+    grid = np.linspace(0.1, 12, 40)
+    for mode in ("forming", "following"):
+        cfg = gc.apply_load_mode(fixture_cfg, mode)
+        rows = list(sweep_verdicts(cfg.system, solved(cfg), cfg.bus_ids.index(3), grid, grid))
+        assert "infeasible" not in {v for row in rows for v in row[2:4]}
+    assert calls == {"eigh": 80, "eigvalsh": 80, "eigvals": 80}
