@@ -142,10 +142,10 @@ def _stiffness_block(dev, op):
     return bus_stiffness_block(op, dev.X_d, dev.X_q)
 
 
-def _gamma_gate(G, ids, tol=CERT_TOL):
+def _gamma_gate(G, ids):
     """Per row of coefficients G (a column per bus of `ids`): the verdict or None, and worst bus."""
     _check_finite(G, ids, "synchronizing coefficient")
-    return _band(G.min(axis=1), None, tol), [ids[j] for j in np.argmin(G, axis=1)]
+    return _band(G.min(axis=1), None), [ids[j] for j in np.argmin(G, axis=1)]
 
 
 def _add_stiffness(M, blocks, ids):
@@ -163,9 +163,9 @@ def _check_finite(values, ids, name):
         raise CertificateError(f"{name} at bus {ids[j]} is not finite ({values[k, j]})")
 
 
-def _band(x, above, tol=CERT_TOL):
-    """The verdict at each x: `above` past tol, 'marginal' within the band, 'unstable' below it."""
-    return np.where(x > tol, above, np.where(x >= -tol, "marginal", "unstable")).tolist()
+def _band(x, above):
+    """The verdict at each x: `above` past CERT_TOL, 'marginal' within the band, 'unstable' below."""
+    return np.where(x > CERT_TOL, above, np.where(x >= -CERT_TOL, "marginal", "unstable")).tolist()
 
 
 @dataclass
@@ -203,13 +203,13 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def certify(flow, system, tol=CERT_TOL, bus_ids=None):
+def certify(flow, system, bus_ids=None):
     """Evaluate the closed-form stability condition at a stationary power flow.
 
     `flow` must satisfy the network power balance, every generator/GFM bus
     must be inside its capability region (CapabilityError otherwise) and its
     closed forms finite (CertificateError naming the bus otherwise). Returns
-    a StabilityReport; verdicts within `tol` of either boundary are marginal.
+    a StabilityReport; verdicts within CERT_TOL of either boundary are marginal.
     """
     n = system.n_bus
     ids = list(bus_ids) if bus_ids is not None else list(range(n))
@@ -220,7 +220,7 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
               for i, (dev, op) in enumerate(zip(system.devices, ops))
               if not isinstance(dev, ConstantPowerLoad)}
     if gammas:
-        verdicts, worst = _gamma_gate(np.array([list(gammas.values())]), list(gammas), tol)
+        verdicts, worst = _gamma_gate(np.array([list(gammas.values())]), list(gammas))
         if verdicts[0] is not None:
             return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
@@ -231,7 +231,7 @@ def certify(flow, system, tol=CERT_TOL, bus_ids=None):
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))
     min_eig, vec = deflated_min_eig(M, null_unit)
-    verdict = _band(min_eig, "stable", tol)
+    verdict = _band(min_eig, "stable")
 
     return StabilityReport(
         gammas=gammas,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .certificate import CertificateError, certify
 from .config import ConfigError, apply_load_mode, load_config
-from .devices import ConstantPowerLoad
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
 from .simulation import AlgebraicSolveError, simulate
@@ -169,9 +168,6 @@ def cmd_sweep(args):
     xq_values = _parse_range("--xq-range", args.xq_range)
     modes = [args.load_mode] if args.load_mode else ["forming", "following"]
     systems = [apply_load_mode(cfg, mode).system for mode in modes]
-    if any(isinstance(system.devices[bus_index], ConstantPowerLoad) for system in systems):
-        raise ConfigError("sweep bus must host a generator or grid-forming inverter")
-
     flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
     buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
     for mode, system in zip(modes, systems):

@@ -93,7 +93,7 @@ def parse_config(doc):
     if omega0 <= 0:
         raise ConfigError("config: omega0 must be positive")
 
-    ids = []
+    index = {}  # bus id -> position
     devices = []
     specs = []
     for k, bus in enumerate(buses):
@@ -101,9 +101,9 @@ def parse_config(doc):
         if not isinstance(bus, dict):
             raise ConfigError(f"{where}: must be an object")
         bus_id = _get(bus, "id", where, int)
-        if bus_id in ids:
+        if bus_id in index:
             raise ConfigError(f"{where}: duplicate bus id {bus_id}")
-        ids.append(bus_id)
+        index[bus_id] = k
         device = _get(bus, "device", where, dict)
         try:
             devices.append(device_from_dict(device))
@@ -115,7 +115,6 @@ def parse_config(doc):
     if n_slack != 1:
         raise ConfigError(f"config: exactly one slack bus required, got {n_slack}")
 
-    index = {bus_id: i for i, bus_id in enumerate(ids)}
     lines = []
     for k, ln in enumerate(lines_doc):
         where = f"lines[{k}]"
@@ -133,10 +132,10 @@ def parse_config(doc):
             raise ConfigError(f"{where}: {exc}") from exc
 
     try:
-        net = Network.from_lines(len(ids), lines)
+        net = Network.from_lines(len(index), lines)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return LoadedConfig(system=PowerSystem(net, devices, omega0), bus_specs=specs, bus_ids=ids)
+    return LoadedConfig(system=PowerSystem(net, devices, omega0), bus_specs=specs, bus_ids=list(index))
 
 
 def load_config(path):

@@ -210,29 +210,29 @@ def _spectra(R, S):
     return np.linalg.eigvals(-R @ S)
 
 
-def _spectrum_verdicts(eig, tol=EIG_TOL):
+def _spectrum_verdicts(eig):
     """`eigenvalue_verdict`'s verdict and zero-mode index for each row of a stack of spectra.
 
     Raises DegenerateEquilibriumError for the first spectrum without exactly
-    one eigenvalue within `tol` of zero. The verdict does not depend on how a
+    one eigenvalue within EIG_TOL of zero. The verdict does not depend on how a
     spectrum is sorted.
     """
     rows = np.arange(len(eig))
     mods = np.abs(eig)
     zero = np.argmin(mods, axis=1)
-    near_zero = np.sum(mods <= tol, axis=1)
-    rejected = np.flatnonzero((near_zero > 1) | (mods[rows, zero] > tol))
+    near_zero = np.sum(mods <= EIG_TOL, axis=1)
+    rejected = np.flatnonzero((near_zero > 1) | (mods[rows, zero] > EIG_TOL))
     if rejected.size:
         k = rejected[0]
         raise DegenerateEquilibriumError(
-            f"degenerate equilibrium: {near_zero[k]} eigenvalues within {tol:.1e} of zero"
+            f"degenerate equilibrium: {near_zero[k]} eigenvalues within {EIG_TOL:.1e} of zero"
             if near_zero[k] > 1 else
             f"no structural zero mode found (smallest |eig| = {mods[k, zero[k]]:.3e})"
         )
     rest = np.array(eig.real)
     rest[rows, zero] = -np.inf  # a spectrum of the zero mode alone is stable
     top = rest.max(axis=1)
-    verdicts = np.where(top < -tol, "stable", np.where(top > tol, "unstable", "marginal"))
+    verdicts = np.where(top < -EIG_TOL, "stable", np.where(top > EIG_TOL, "unstable", "marginal"))
     return verdicts.tolist(), zero
 
 
@@ -247,11 +247,11 @@ class EigenReport:
     voltage_margin: float
 
 
-def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
+def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium):
     """Decide stability from the spectrum of the Kron-reduced state matrix.
 
     Stable iff every eigenvalue besides the single structural zero has real
-    part below -tol_eig; marginal if any other real part sits inside the
+    part below -EIG_TOL; marginal if any other real part sits inside the
     tolerance band. Raises DegenerateEquilibriumError when more than one
     eigenvalue is numerically zero. The report carries the voltage-regularity
     margin, outside of which the verdict need not match the certificate's.
@@ -262,7 +262,7 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium, tol_eig=EIG_TOL):
     S, margins = _kron_reduce(H.matrix[None], H.n_states)
     eig = _spectra(damping_matrix(system)[None], S)[0]
     eig = eig[np.lexsort((eig.imag, eig.real))]
-    verdicts, zero = _spectrum_verdicts(eig[None], tol_eig)
+    verdicts, zero = _spectrum_verdicts(eig[None])
     return EigenReport(
         eigenvalues=eig,
         verdict=verdicts[0],

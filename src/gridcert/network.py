@@ -81,6 +81,8 @@ class PQ:
 
 BusSpec = Slack | PV | PQ
 
+_FLOW_TOL, _FLOW_MAX_ITER = 1e-10, 50  # Newton power flow: residual to reach, iterations to try
+
 
 def build_susceptance(n_bus, lines):
     """Assemble the N x N susceptance matrix from a line list.
@@ -235,14 +237,14 @@ class PowerFlowSolution:
     iterations: int
 
 
-def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50):
+def solve_power_flow(net, bus_specs):
     """Newton solve of the power balance for the given bus specifications.
 
     Exactly one Slack spec is required; PV buses fix (P, V), PQ buses fix
-    (P, Q). Starts from a flat profile (theta=0, V=1) unless `initial_guess`
-    provides (theta, V) arrays. Full Newton steps, residual measured in the
-    infinity norm. Raises PowerFlowError on non-convergence or a singular
-    Jacobian.
+    (P, Q). Starts from a flat profile (theta=0, V=1) and takes full Newton
+    steps until the infinity-norm residual is at most 1e-10. Raises
+    PowerFlowError when 50 iterations do not get there, the residual turns
+    non-finite or the Jacobian is singular.
     """
     n = net.n_bus
     if len(bus_specs) != n:
@@ -251,12 +253,8 @@ def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50)
     if len(slack) != 1:
         raise ValueError(f"exactly one slack bus required, got {len(slack)}")
 
-    if initial_guess is None:
-        theta = np.zeros(n)
-        V = np.ones(n)
-    else:
-        theta = np.array(initial_guess[0], dtype=float)
-        V = np.array(initial_guess[1], dtype=float)
+    theta = np.zeros(n)
+    V = np.ones(n)
 
     P_set = np.zeros(n)
     Q_set = np.zeros(n)
@@ -281,16 +279,16 @@ def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50)
     n_th = theta_rows.size
 
     residual = np.inf
-    for it in range(max_iter + 1):
+    for it in range(_FLOW_MAX_ITER + 1):
         terms = _angle_terms(theta, V, net.B)  # the one pass of this iterate
         P, Q = _balance(*terms)
         mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows], Q_set[v_rows] - Q[v_rows]])
         residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         if not np.isfinite(residual):
             raise PowerFlowError(f"power flow diverged at iteration {it} (non-finite residual)")
-        if residual <= tol:
+        if residual <= _FLOW_TOL:
             return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
-        if it == max_iter:
+        if it == _FLOW_MAX_ITER:
             break
         J = _jacobian(V, Q, _hessian_blocks(theta, V, net.B, terms), theta_rows, v_rows)
         try:
@@ -301,7 +299,8 @@ def solve_power_flow(net, bus_specs, initial_guess=None, tol=1e-10, max_iter=50)
         V[v_rows] += step[n_th:]
 
     raise PowerFlowError(
-        f"power flow did not converge in {max_iter} iterations (residual {residual:.3e}, tol {tol:.1e})"
+        f"power flow did not converge in {_FLOW_MAX_ITER} iterations "
+        f"(residual {residual:.3e}, tol {_FLOW_TOL:.1e})"
     )
 
 

@@ -13,11 +13,14 @@ starting point, so it also supplies that step's first stage.
 
 Along trajectories the total Bregman storage (relative to a chosen
 equilibrium) is tracked; for exact solutions it decays at the analytic
-dissipation rate.
+dissipation rate. The public functions take device states as one vector
+`x`, concatenated in `state_slices` order like `simulate`'s `x0` and
+`Trajectory.x`, and bus voltages `v` interleaved as (theta_i, V_i).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-10, 30  # voltage Newton: (P, Q) mismatch bound, iterations
+
+
 class AlgebraicSolveError(RuntimeError):
     """Per-stage Newton solve of the bus voltages failed to converge."""
 
@@ -53,11 +59,11 @@ def _mismatch(powers, P_net, Q_net):
     return worst
 
 
-def _voltage_newton(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
-    """`solve_bus_voltages`, also returning each device's source at the solution."""
+def _voltage_newton(system, states, v_guess, setpoints):
+    """`solve_bus_voltages` on per-device `states`, also returning each device's source there."""
     B = system.net.B
     v = np.array(v_guess, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if (v[1::2] <= 0).any() or not np.isfinite(v).all():
             raise AlgebraicSolveError("bus voltage iterate left the feasible region")
         theta = v[0::2]
@@ -74,7 +80,7 @@ def _voltage_newton(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
             g_theta, g_V = src.bus_gradient()
             g[2 * i] += g_theta
             g[2 * i + 1] += g_V
-        if np.abs(g).max() <= 0.1 * tol:
+        if np.abs(g).max() <= 0.1 * _NEWTON_TOL:
             break
         H = network_hessian(theta, V, B, terms)
         for i, src in enumerate(sources):
@@ -86,17 +92,18 @@ def _voltage_newton(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
         v = v - step
     else:
         raise AlgebraicSolveError(
-            f"voltage Newton did not converge in {max_iter} iterations "
+            f"voltage Newton did not converge in {_NEWTON_MAX_ITER} iterations "
             f"(residual {np.abs(g).max():.3e})"
         )
     res = _mismatch([src.power() for src in sources], P_net, Q_net)
-    if res > tol:
-        raise AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {tol:.1e}")
+    if res > _NEWTON_TOL:
+        raise AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {_NEWTON_TOL:.1e}")
     return v, sources
 
 
-def algebraic_residual(system, states, v, setpoints):
+def algebraic_residual(system, x, v, setpoints):
     """Infinity norm of the (P, Q) mismatch between device outputs and network balance."""
+    states = _split_states(x, system.state_slices())
     theta = v[0::2]
     V = v[1::2]
     P_net, Q_net = power_balance(theta, V, system.net)
@@ -105,26 +112,27 @@ def algebraic_residual(system, states, v, setpoints):
     return _mismatch(powers, P_net, Q_net)
 
 
-def solve_bus_voltages(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
-    """Newton solve of the bus voltages for fixed device states.
+def solve_bus_voltages(system, x, v_guess, setpoints):
+    """Newton solve of the bus voltages for the fixed concatenated device states `x`.
 
     The residual is the gradient of the total energy in the bus variables
     (equivalently the device/network power mismatch with Q scaled by 1/V);
     the Jacobian is the corresponding voltage Hessian. Converges from the
     previous step's voltages during integration. Raises AlgebraicSolveError
-    on divergence, which simulate() treats as a step rejection.
+    when an iterate leaves V > 0, the Jacobian is singular, 30 iterations do
+    not converge or the (P, Q) mismatch at the solution exceeds 1e-10;
+    simulate() treats this as a step rejection.
     """
-    if isinstance(states, np.ndarray):
-        states = _split_states(states, system.state_slices())
-    return _voltage_newton(system, states, v_guess, setpoints, tol, max_iter)[0]
+    return _voltage_newton(system, _split_states(x, system.state_slices()), v_guess, setpoints)[0]
 
 
 def _storage(system, eq: Equilibrium):
-    """`bregman_storage` against `eq` as a function of (states, v).
+    """`bregman_storage` against `eq` as a function of (x, v).
 
     The equilibrium-side terms are formed once, here.
     """
     omega0 = system.omega0
+    slices = system.state_slices()
     theta_s = np.asarray(eq.flow.theta, dtype=float)
     V_s = np.asarray(eq.flow.V, dtype=float)
     _, Q_net_s = power_balance(theta_s, V_s, system.net)
@@ -137,7 +145,8 @@ def _storage(system, eq: Equilibrium):
         for i, (dev, sp, xs) in enumerate(zip(system.devices, eq.setpoints, eq.states))
     ]
 
-    def storage(states, v):
+    def storage(x, v):
+        states = _split_states(x, slices)
         theta = v[0::2]
         V = v[1::2]
         # the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j) is sum(Q)/2
@@ -154,21 +163,18 @@ def _storage(system, eq: Equilibrium):
     return storage
 
 
-def bregman_storage(system, eq: Equilibrium, states, v):
+def bregman_storage(system, eq: Equilibrium, x, v):
     """Total storage: energy minus its first-order expansion at the equilibrium.
 
     Zero with zero gradient at the equilibrium itself; serves as the Lyapunov
     function along simulated trajectories.
     """
-    if isinstance(states, np.ndarray):
-        states = _split_states(states, system.state_slices())
-    return _storage(system, eq)(states, v)
+    return _storage(system, eq)(x, v)
 
 
-def dissipation_rate(system, states, v, setpoints):
+def dissipation_rate(system, x, v, setpoints):
     """Analytic storage decay rate: -sum D ddelta^2/omega0 - sum tau dE^2/(X - X')."""
-    if isinstance(states, np.ndarray):
-        states = _split_states(states, system.state_slices())
+    states = _split_states(x, system.state_slices())
     theta = v[0::2]
     V = v[1::2]
     rate = 0.0
@@ -180,7 +186,7 @@ def dissipation_rate(system, states, v, setpoints):
 
 @dataclass
 class Trajectory:
-    """Sampled states of one simulation run.
+    """States of one simulation run: the start, then one row per integration step.
 
     x rows are concatenated device states, v rows interleaved (theta, V),
     W the Bregman storage per sample. `diagnostic` is set when the run was
@@ -229,19 +235,22 @@ def perturbed_state(eq: Equilibrium, bus, delta_shift):
     return x0
 
 
-def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0, record_every=1):
+def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     """Fixed-step RK4 integration with a Newton voltage solve at every stage.
 
     Starts from device states `x0` (default: the equilibrium itself) with the
     bus voltages re-solved for consistency; if that initial solve fails, the
-    AlgebraicSolveError is raised, as there is no trajectory to return. On a
-    later algebraic solve failure the trajectory is truncated and returned
-    with a diagnostic instead of raising. `dt` and `t_end` must be positive
-    and finite, and a `t_end / dt` that overflows raises ValueError.
+    AlgebraicSolveError is raised, as there is no trajectory to return. Every
+    step is recorded. On a later algebraic solve failure the trajectory is
+    truncated and returned with a diagnostic instead of raising. `dt` and
+    `t_end` must be positive and finite, and a step count `t_end / dt` that
+    overflows or exceeds sys.maxsize, which no trajectory could hold, raises
+    ValueError.
     """
     n_steps = t_end / dt
-    if not np.isfinite(n_steps):
-        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
+    if not n_steps <= sys.maxsize:  # also rejects inf and nan
+        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g} "
+                         f"(a trajectory holds at most {sys.maxsize} steps)")
     n_steps = int(round(n_steps))
     setpoints = eq.setpoints
     slices = system.state_slices()
@@ -258,11 +267,9 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0, record_every=
 
     k1, v = rhs(x, eq.v())
 
-    ts = [0.0]
     xs = [x.copy()]
     vs = [v.copy()]
-    Ws = [storage(_split_states(x, slices), v)]
-    truncated = False
+    Ws = [storage(x, v)]
     diagnostic = None
 
     for k in range(n_steps):
@@ -273,21 +280,18 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0, record_every=
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             k1, v = rhs(x, v4)  # the next step's first stage
         except AlgebraicSolveError as exc:
-            truncated = True
-            diagnostic = f"truncated at t={ts[-1]:.6g}s: {exc}"
+            diagnostic = f"truncated at t={k * dt:.6g}s: {exc}"  # the time of the last row
             break
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            ts.append((k + 1) * dt)
-            xs.append(x.copy())
-            vs.append(v.copy())
-            Ws.append(storage(_split_states(x, slices), v))
+        xs.append(x.copy())
+        vs.append(v.copy())
+        Ws.append(storage(x, v))
 
     return Trajectory(
-        t=np.array(ts),
+        t=np.arange(len(xs)) * dt,  # row k is step k
         x=np.array(xs),
         v=np.array(vs),
         W=np.array(Ws),
-        truncated=truncated,
+        truncated=diagnostic is not None,
         diagnostic=diagnostic,
         system=system,
         equilibrium=eq,

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 
 import gridcert as gc
+from gridcert import simulation
 from gridcert.linearization import assemble_energy_hessian
 from gridcert.simulation import algebraic_residual
 
@@ -176,14 +177,17 @@ def sweep_point(cfg, flow, bus_index, x_d, x_q):
     return v_cert, v_eig, min_eig
 
 
-def solve_bus_voltages_reference(system, states, v_guess, setpoints, tol=1e-10, max_iter=30):
+def solve_bus_voltages_reference(system, x, v_guess, setpoints):
     """`solve_bus_voltages` with each piece of an iterate evaluated on its own.
 
     The gradient comes from `power_balance` and each device's
     `energy_gradient`, the Hessian from `network_hessian` and each device's
     `energy_hessian`, the post-check from `algebraic_residual`. The reference
-    the simulator's single evaluation per iterate must equal bit for bit.
+    the simulator's single evaluation per iterate must equal bit for bit; it
+    reads the simulator's tolerance and iteration cap when called.
     """
+    tol, max_iter = simulation._NEWTON_TOL, simulation._NEWTON_MAX_ITER
+    states = [x[sl] for sl in system.state_slices()]
     v = np.array(v_guess, dtype=float)
     for _ in range(max_iter):
         if np.any(v[1::2] <= 0) or not np.all(np.isfinite(v)):
@@ -210,13 +214,13 @@ def solve_bus_voltages_reference(system, states, v_guess, setpoints, tol=1e-10, 
             f"voltage Newton did not converge in {max_iter} iterations "
             f"(residual {np.max(np.abs(g)):.3e})"
         )
-    res = algebraic_residual(system, states, v, setpoints)
+    res = algebraic_residual(system, x, v, setpoints)
     if res > tol:
         raise gc.AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {tol:.1e}")
     return v
 
 
-def simulate_reference(system, eq, x0=None, dt=1e-3, t_end=1.0, record_every=1):
+def simulate_reference(system, eq, x0=None, dt=1e-3, t_end=1.0):
     """`simulate` as one RK4 loop over the public per-stage pieces.
 
     Every stage, the first included, re-solves the bus voltages with
@@ -231,7 +235,7 @@ def simulate_reference(system, eq, x0=None, dt=1e-3, t_end=1.0, record_every=1):
 
     def rhs(x_stage, v_warm):
         states = [x_stage[sl] for sl in slices]
-        v_stage = gc.solve_bus_voltages(system, states, v_warm, setpoints)
+        v_stage = gc.solve_bus_voltages(system, x_stage, v_warm, setpoints)
         parts = [dev.state_derivative(states[i], v_stage[2 * i], v_stage[2 * i + 1],
                                       setpoints[i], system.omega0)
                  for i, dev in enumerate(system.devices)]
@@ -253,11 +257,10 @@ def simulate_reference(system, eq, x0=None, dt=1e-3, t_end=1.0, record_every=1):
             truncated = True
             diagnostic = f"truncated at t={ts[-1]:.6g}s: {exc}"
             break
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            ts.append((k + 1) * dt)
-            xs.append(x.copy())
-            vs.append(v.copy())
-            Ws.append(gc.bregman_storage(system, eq, x, v))
+        ts.append((k + 1) * dt)
+        xs.append(x.copy())
+        vs.append(v.copy())
+        Ws.append(gc.bregman_storage(system, eq, x, v))
     return gc.Trajectory(t=np.array(ts), x=np.array(xs), v=np.array(vs), W=np.array(Ws),
                          truncated=truncated, diagnostic=diagnostic)
 

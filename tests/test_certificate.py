@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import certificate
 from gridcert.certificate import (
     CertificateError,
     bus_stiffness_block,
@@ -217,13 +218,14 @@ class TestCertify:
         assert report.violating_bus == 0
         assert report.min_eig is None
 
-    def test_marginal_band_classification(self):
+    def test_marginal_band_classification(self, monkeypatch):
         cfg = gc.parse_config(three_bus_doc())
         flow = solved(cfg)
         base = certify(flow, cfg.system)
         assert base.verdict == "stable"
         # widen the tolerance band until min_eig falls inside it
-        wide = certify(flow, cfg.system, tol=base.min_eig * 1.01)
+        monkeypatch.setattr(certificate, "CERT_TOL", base.min_eig * 1.01)
+        wide = certify(flow, cfg.system)
         assert wide.verdict == "marginal"
 
     def test_inconsistent_flow_rejected(self):

@@ -276,7 +276,10 @@ class TestSimulate:
         (["--t-end", "inf"], "--t-end must be positive and finite, got inf"),
         (["--t-end", "-1"], "--t-end must be positive and finite, got -1.0"),
         (["--perturb", "1=inf"], "--perturb RAD must be finite, got '1=inf'"),
-        (["--dt", "1e-310", "--t-end", "1e10"], "t_end / dt must be finite, got 1e+10 / 1e-310"),
+        (["--dt", "1e-310", "--t-end", "1e10"], "t_end / dt must be finite, got 1e+10 / 1e-310 "
+                                                "(a trajectory holds at most 9223372036854775807 steps)"),
+        (["--dt", "1e-300"], "t_end / dt must be finite, got 1 / 1e-300 "
+                             "(a trajectory holds at most 9223372036854775807 steps)"),
     ]
 
     @pytest.mark.parametrize("options, message", BAD_OPTIONS)

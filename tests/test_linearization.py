@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import linearization
 from gridcert.certificate import certify
 from gridcert.linearization import (
     KRON_COND_LIMIT,
@@ -212,11 +213,12 @@ class TestEigenValueVerdict:
             eq2 = system.equilibrium(flow)
             assert eigenvalue_verdict(system, eq2).verdict == base
 
-    def test_degenerate_band_detection(self):
+    def test_degenerate_band_detection(self, monkeypatch):
         system, flow = single_vsg_bus()
         eq = system.equilibrium(flow)
+        monkeypatch.setattr(linearization, "EIG_TOL", 100.0)
         with pytest.raises(DegenerateEquilibriumError):
-            eigenvalue_verdict(system, eq, tol_eig=100.0)
+            eigenvalue_verdict(system, eq)
 
     def test_no_dynamic_states_rejected(self):
         net = gc.Network.from_lines(1, [])
@@ -338,10 +340,12 @@ class TestStackedKernels:
             assert (margin > 0) == voltage_regular(system, eq)
         assert margin < 0  # the draw is not voltage-regular
 
-    def test_degenerate_equilibrium_messages(self):
+    def test_degenerate_equilibrium_messages(self, monkeypatch):
         system, flow = single_vsg_bus()
-        with pytest.raises(DegenerateEquilibriumError) as exc:
-            eigenvalue_verdict(system, system.equilibrium(flow), tol_eig=100.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(linearization, "EIG_TOL", 100.0)
+            with pytest.raises(DegenerateEquilibriumError) as exc:
+                eigenvalue_verdict(system, system.equilibrium(flow))
         assert str(exc.value) == "degenerate equilibrium: 2 eigenvalues within 1.0e+02 of zero"
         degenerate, no_zero = [0.0, 1e-8, -1.0], [-1e-3, -1.0, -2.0]
         messages = []
