@@ -19,12 +19,11 @@ LAPACK wrappers do; non-finite closed forms are rejected before LAPACK.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CapabilityError, ConstantPowerLoad, internal_phase
+from .devices import CapabilityError, ConstantPowerLoad, _any, _cos_sin, _sq, internal_phase
 from .network import network_hessian
 
 __all__ = [
@@ -52,10 +51,19 @@ def synchronizing_coefficient(op, X_d, X_q):
 
     gamma = Q + V^2 cos^2(phi)/X_q + V^2 sin^2(phi)/X_d with phi the internal
     phase. Positive gamma means the device produces restoring active power
-    against angle perturbations.
+    against angle perturbations. Elementwise over arrays of reactances.
     """
-    phi = internal_phase(op, X_q)
-    return op.Q + op.V**2 * math.cos(phi) ** 2 / X_q + op.V**2 * math.sin(phi) ** 2 / X_d
+    return _coefficient(op, X_d, X_q, *_phase_terms(op, X_q)[2:])
+
+
+def _phase_terms(op, X_q):
+    """cos(phi), sin(phi) and their squares, with phi the internal phase."""
+    cos_phi, sin_phi = _cos_sin(internal_phase(op, X_q))
+    return cos_phi, sin_phi, _sq(cos_phi), _sq(sin_phi)
+
+
+def _coefficient(op, X_d, X_q, c2, s2):
+    return op.Q + op.V**2 * c2 / X_q + op.V**2 * s2 / X_d
 
 
 def bus_stiffness_block(op, X_d, X_q):
@@ -63,21 +71,22 @@ def bus_stiffness_block(op, X_d, X_q):
 
     Equals the Schur complement of the reduced device Hessian onto (theta, V)
     after eliminating the internal angle; only the (V, V) entry is nonzero.
-    Requires a positive synchronizing coefficient.
+    Requires a positive synchronizing coefficient. Arrays of reactances give
+    a (..., 2, 2) stack.
     """
-    phi = internal_phase(op, X_q)
-    gamma = synchronizing_coefficient(op, X_d, X_q)
-    if gamma <= 0:
+    cos_phi, sin_phi, c2, s2 = _phase_terms(op, X_q)
+    gamma = _coefficient(op, X_d, X_q, c2, s2)
+    if _any(gamma <= 0):
         raise CertificateError(
-            f"synchronizing coefficient {gamma:.6g} <= 0; stiffness block undefined"
+            f"synchronizing coefficient {np.min(gamma):.6g} <= 0; stiffness block undefined"
         )
-    c2 = math.cos(phi) ** 2
-    s2 = math.sin(phi) ** 2
     num = (op.V**4 / (X_q * X_d)
            - op.P**2
            + (op.V**2 * c2 / X_d + op.V**2 * s2 / X_q) * op.Q
-           - 2.0 * (1.0 / X_q - 1.0 / X_d) * op.P * op.V**2 * math.cos(phi) * math.sin(phi))
-    return np.array([[0.0, 0.0], [0.0, num / (op.V**2 * gamma)]])
+           - 2.0 * (1.0 / X_q - 1.0 / X_d) * op.P * op.V**2 * cos_phi * sin_phi)
+    block = np.zeros(np.shape(num) + (2, 2))
+    block[..., 1, 1] = num / (op.V**2 * gamma)
+    return block
 
 
 def load_stiffness_block(Q_ref, V):

@@ -170,11 +170,12 @@ def cmd_sweep(args):
     systems = [apply_load_mode(cfg, mode).system for mode in modes]
     flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
     buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
+    text = {x: _fmt(x) for x in (*xd_values, *xq_values)}  # each grid value formatted once
     for mode, system in zip(modes, systems):
         for x_d, x_q, v_cert, v_eig, min_eig in sweep_verdicts(
                 system, flow, bus_index, xd_values, xq_values):
             min_eig = _fmt(min_eig) if min_eig is not None else ""
-            buf.write(f"{_fmt(x_d)},{_fmt(x_q)},{mode},{v_cert},{v_eig},{min_eig}\n")
+            buf.write(f"{text[x_d]},{text[x_q]},{mode},{v_cert},{v_eig},{min_eig}\n")
     _emit(buf.getvalue(), args.out)
     return 0
 

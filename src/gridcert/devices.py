@@ -20,7 +20,8 @@ stability certificate cross-checks and the linearized-dynamics oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +47,37 @@ __all__ = [
 OMEGA0_DEFAULT = 2 * math.pi * 60.0
 
 _STATIONARY_TOL = 1e-10
+
+# The closed forms below take floats, or the arrays of a reactance sweep's grid row, and give
+# an array the bits of the float code at each element. numpy's cos and sin match libm's bit for
+# bit; its arctan and its squares (x*x) do not, so those go through libm's atan and pow
+# (Python's float x**2) element by element. A float takes the scalar code behind one class
+# test, the cheapest dispatch: the simulator's inner loop and every device of a 500-bus config
+# pass floats, where a numpy call would cost microseconds.
+def _libm(f, x, *args):
+    """f(element, *args) for each element of the array x, through Python floats."""
+    values = map(f, x.ravel().tolist(), *(repeat(a) for a in args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def _atan(x):
+    return _libm(math.atan, x) if x.__class__ is np.ndarray else math.atan(x)
+
+
+def _sq(x):
+    return _libm(math.pow, x, 2.0) if x.__class__ is np.ndarray else x ** 2
+
+
+def _cos_sin(x):
+    return (np.cos(x), np.sin(x)) if x.__class__ is np.ndarray else (math.cos(x), math.sin(x))
+
+
+def _any(x):
+    return x.any() if x.__class__ is np.ndarray else x
+
+
+def _all(x):
+    return x.all() if x.__class__ is np.ndarray else x
 
 
 @dataclass(frozen=True)
@@ -77,6 +109,12 @@ class StationaryStateError(ValueError):
     """A closed-form stationary state misses the zero-derivative condition beyond tolerance."""
 
 
+def _capability(op, X_q):
+    """(Q + V^2/X_q, where it is not positive): outside there, `internal_phase` is undefined."""
+    den = op.Q + op.V**2 / X_q
+    return den, den <= 0
+
+
 def internal_phase(op, X_q):
     """Phase of the internal voltage source relative to the bus voltage.
 
@@ -84,12 +122,12 @@ def internal_phase(op, X_q):
     the denominator is positive; otherwise the operating point cannot be
     realized on the principal branch and CapabilityError is raised.
     """
-    den = op.Q + op.V**2 / X_q
-    if den <= 0:
+    den, outside = _capability(op, X_q)
+    if _any(outside):
         raise CapabilityError(
-            f"operating point outside generator capability: Q + V^2/X_q = {den:.6g} <= 0"
+            f"operating point outside generator capability: Q + V^2/X_q = {np.min(den):.6g} <= 0"
         )
-    return math.atan(op.P / den)
+    return _atan(op.P / den)
 
 
 def stationary_setpoint(op, X_d, X_q):
@@ -98,8 +136,8 @@ def stationary_setpoint(op, X_d, X_q):
     Invariant under uniform phase shifts of the target flow (depends on the
     operating point only through V, P, Q).
     """
-    phi = internal_phase(op, X_q)
-    V_fd = (X_d * op.P / op.V) * math.sin(phi) + (X_d * op.Q / op.V + op.V) * math.cos(phi)
+    cos_phi, sin_phi = _cos_sin(internal_phase(op, X_q))
+    V_fd = (X_d * op.P / op.V) * sin_phi + (X_d * op.Q / op.V + op.V) * cos_phi
     return Setpoint(P_m=op.P, V_fd=V_fd)
 
 
@@ -134,23 +172,31 @@ class _Source:
     reactances, the grid-forming inverters (V_fd, 0) and their synchronous
     ones. Phasor and currents are evaluated once, on construction; the
     voltage Newton takes its gradient, Hessian block, residual and the state
-    derivative from one source per device and iterate.
+    derivative from one source per device and iterate. Phasor, currents,
+    power and second derivatives are elementwise over a sweep row's arrays.
     """
 
-    __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q")
+    __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q",
+                 "c2", "s2", "vq2", "vd2")
 
     def __init__(self, a, V, E_q, E_d, x_d, x_q):
         self.E_q, self.E_d, self.x_d, self.x_q = E_q, E_d, x_d, x_q
-        self.c, self.s = math.cos(a), math.sin(a)
-        self.vq, self.vd = V * self.c, V * self.s
-        self.I_d = (E_q - self.vq) / x_d
-        self.I_q = (self.vd - E_d) / x_q
+        # `_cos_sin` and `_sq` inlined: the voltage Newton builds a source per device and
+        # iterate, and every one of them needs these squares, through power() or
+        # second_derivatives()
+        row = a.__class__ is np.ndarray
+        self.c, self.s = c, s = (np.cos(a), np.sin(a)) if row else (math.cos(a), math.sin(a))
+        self.vq, self.vd = vq, vd = V * c, V * s
+        self.I_d = (E_q - vq) / x_d
+        self.I_q = (vd - E_d) / x_q
+        self.c2, self.s2, self.vq2, self.vd2 = (
+            map(_sq, (c, s, vq, vd)) if row else (c ** 2, s ** 2, vq ** 2, vd ** 2))
 
     def power(self):
         """(P, Q) delivered to the bus."""
         vq, vd, x_d, x_q = self.vq, self.vd, self.x_d, self.x_q
         P = self.E_q * vd / x_d - self.E_d * vq / x_q + (1.0 / x_q - 1.0 / x_d) * vd * vq
-        Q = self.E_q * vq / x_d + self.E_d * vd / x_q - (vd**2 / x_q + vq**2 / x_d)
+        Q = self.E_q * vq / x_d + self.E_d * vd / x_q - (self.vd2 / x_q + self.vq2 / x_d)
         return P, Q
 
     def potential(self):
@@ -173,9 +219,9 @@ class _Source:
         these give every entry of the Hessian over (delta, theta, V).
         """
         c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
-        h_dd = vq**2 / x_q + vd**2 / x_d + self.I_d * vq - self.I_q * vd
+        h_dd = self.vq2 / x_q + self.vd2 / x_d + self.I_d * vq - self.I_q * vd
         h_dV = s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s
-        return h_dd, h_dV, s**2 / x_q + c**2 / x_d
+        return h_dd, h_dV, self.s2 / x_q + self.c2 / x_d
 
     def bus_block(self):
         """2x2 Hessian of U over the bus's (theta, V)."""
@@ -186,15 +232,16 @@ class _Source:
         """size x size matrix holding the Hessian of U over (delta, theta, V).
 
         Delta is the first coordinate, theta and V the last two; entries for
-        any coordinates in between are left zero.
+        any coordinates in between are left zero. A (..., size, size) stack
+        over a row.
         """
         h_dd, h_dV, h_VV = self.second_derivatives()
-        H = np.zeros((size, size))
-        H[0, 0] = H[-2, -2] = h_dd
-        H[0, -2] = H[-2, 0] = -h_dd
-        H[0, -1] = H[-1, 0] = h_dV
-        H[-2, -1] = H[-1, -2] = -h_dV
-        H[-1, -1] = h_VV
+        H = np.zeros(np.shape(h_dd) + (size, size))
+        H[..., 0, 0] = H[..., -2, -2] = h_dd
+        H[..., 0, -2] = H[..., -2, 0] = -h_dd
+        H[..., 0, -1] = H[..., -1, 0] = h_dV
+        H[..., -2, -1] = H[..., -1, -2] = -h_dV
+        H[..., -1, -1] = h_VV
         return H
 
 
@@ -225,15 +272,39 @@ class Device:
 
     State vectors are 1-d arrays ordered as `state_names`; energy gradients
     and Hessians are over (states..., theta, V).
+
+    A device whose X_d and X_q are arrays (`with_reactances`) is a row of
+    devices: its stationary setpoint, state and residual, energy Hessian and
+    damping block are evaluated elementwise. States then hold one column per
+    device, and Hessian and damping blocks come as (..., k, k) stacks.
     """
 
     kind = ""
     state_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        params = vars(self)
+        for holds, message in self._rules(params):
+            if not _all(holds):
+                raise ValueError(message.format(**params))
+
+    @classmethod
+    def _rules(cls, p):
+        """Each check of the constructor on parameters `p`: where it holds, and its message."""
+        for name, value in p.items():
+            yield ((0 < value) & (value < math.inf),
+                   f"{name} must be positive and finite, got {{{name}}}")
+
+    def admits(self, **changes):
+        """Where this device with `changes` would pass its constructor's checks, elementwise."""
+        ok = True
+        for holds, _ in self._rules({**vars(self), **changes}):
+            ok = ok & holds
+        return ok
+
+    def with_reactances(self, X_d, X_q):
+        """This device with its synchronous reactances replaced; arrays give a row of devices."""
+        return replace(self, X_d=X_d, X_q=X_q)
 
     @property
     def n_states(self):
@@ -247,18 +318,25 @@ class Device:
         """(x_d, x_q) between the internal voltage source and the bus."""
         return self.X_d, self.X_q
 
+    def stationary(self, theta_star, op, omega0=OMEGA0_DEFAULT):
+        """Setpoint and state at bus angle `theta_star` and operating point `op`, where the
+        state meets the zero-derivative condition, and its largest |state derivative|."""
+        setpoint = self.stationary_setpoint(op)
+        state = self._stationary_state(theta_star, op, setpoint)
+        deriv = self.state_derivative(state, theta_star, op.V, setpoint, omega0)
+        residual = np.abs(deriv).max(axis=0, initial=0.0)
+        return setpoint, state, ~(residual > _STATIONARY_TOL), residual
+
     def stationary_state(self, theta_star, op, omega0=OMEGA0_DEFAULT):
         """Device state at equilibrium for bus angle `theta_star` and operating point `op`.
 
         Verified against the zero-derivative post-condition before returning;
         raises StationaryStateError if it fails.
         """
-        setpoint = self.stationary_setpoint(op)
-        state = self._stationary_state(theta_star, op, setpoint)
-        deriv = self.state_derivative(state, theta_star, op.V, setpoint, omega0)
-        if deriv.size and np.max(np.abs(deriv)) > _STATIONARY_TOL:
+        _, state, holds, residual = self.stationary(theta_star, op, omega0)
+        if not _all(holds):
             raise StationaryStateError(
-                f"{self.kind} stationary state residual {np.max(np.abs(deriv)):.3e} "
+                f"{self.kind} stationary state residual {np.max(residual):.3e} "
                 f"exceeds {_STATIONARY_TOL:.1e}"
             )
         return state
@@ -306,12 +384,11 @@ class TwoAxisGenerator(Device):
     kind = "two_axis"
     state_names = ("delta", "omega", "E_q", "E_d")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.X_d_prime < self.X_d:
-            raise ValueError(f"transient reactance X_d'={self.X_d_prime} must be below X_d={self.X_d}")
-        if not self.X_q_prime < self.X_q:
-            raise ValueError(f"transient reactance X_q'={self.X_q_prime} must be below X_q={self.X_q}")
+    @classmethod
+    def _rules(cls, p):
+        yield from super()._rules(p)
+        yield p["X_d_prime"] < p["X_d"], "transient reactance X_d'={X_d_prime} must be below X_d={X_d}"
+        yield p["X_q_prime"] < p["X_q"], "transient reactance X_q'={X_q_prime} must be below X_q={X_q}"
 
     @property
     def connection_reactances(self):
@@ -331,11 +408,12 @@ class TwoAxisGenerator(Device):
 
     def _stationary_state(self, theta_star, op, setpoint):
         phi = internal_phase(op, self.X_q)
-        vq = op.V * math.cos(phi)
-        vd = op.V * math.sin(phi)
+        cos_phi, sin_phi = _cos_sin(phi)
+        vq = op.V * cos_phi
+        vd = op.V * sin_phi
         E_d = (1.0 - self.X_q_prime / self.X_q) * vd
         E_q = (self.X_d_prime * setpoint.V_fd + (self.X_d - self.X_d_prime) * vq) / self.X_d
-        return np.array([theta_star + phi, 0.0, E_q, E_d])
+        return np.array([theta_star + phi, np.zeros_like(phi), E_q, E_d])
 
     def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         U_q, U_d = self._source(state, theta, V, setpoint).potential()
@@ -363,24 +441,25 @@ class TwoAxisGenerator(Device):
         xdp, xqp = self.X_d_prime, self.X_q_prime
         # order: delta, omega, E_q, E_d, theta, V
         H = src.hessian(6)
-        H[0, 2] = H[2, 0] = vd / xdp
-        H[0, 3] = H[3, 0] = -vq / xqp
-        H[1, 1] = omega0 * self.M
-        H[2, 2] = 1.0 / (self.X_d - xdp) + 1.0 / xdp
-        H[2, 4] = H[4, 2] = -vd / xdp
-        H[2, 5] = H[5, 2] = -c / xdp
-        H[3, 3] = 1.0 / (self.X_q - xqp) + 1.0 / xqp
-        H[3, 4] = H[4, 3] = vq / xqp
-        H[3, 5] = H[5, 3] = -s / xqp
+        H[..., 0, 2] = H[..., 2, 0] = vd / xdp
+        H[..., 0, 3] = H[..., 3, 0] = -vq / xqp
+        H[..., 1, 1] = omega0 * self.M
+        H[..., 2, 2] = 1.0 / (self.X_d - xdp) + 1.0 / xdp
+        H[..., 2, 4] = H[..., 4, 2] = -vd / xdp
+        H[..., 2, 5] = H[..., 5, 2] = -c / xdp
+        H[..., 3, 3] = 1.0 / (self.X_q - xqp) + 1.0 / xqp
+        H[..., 3, 4] = H[..., 4, 3] = vq / xqp
+        H[..., 3, 5] = H[..., 5, 3] = -s / xqp
         return H
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
-        return np.array([
-            [0.0, -1.0 / self.M, 0.0, 0.0],
-            [1.0 / self.M, self.D / (omega0 * self.M**2), 0.0, 0.0],
-            [0.0, 0.0, (self.X_d - self.X_d_prime) / self.tau_d, 0.0],
-            [0.0, 0.0, 0.0, (self.X_q - self.X_q_prime) / self.tau_q],
-        ])
+        d_term = (self.X_d - self.X_d_prime) / self.tau_d
+        R = np.zeros(np.shape(d_term) + (4, 4))
+        R[..., 0, 1], R[..., 1, 0] = -1.0 / self.M, 1.0 / self.M
+        R[..., 1, 1] = self.D / (omega0 * self.M**2)
+        R[..., 2, 2] = d_term
+        R[..., 3, 3] = (self.X_q - self.X_q_prime) / self.tau_q
+        return R
 
     def dissipation_rate(self, deriv, omega0=OMEGA0_DEFAULT):
         d_delta, _, d_Eq, d_Ed = deriv
@@ -424,7 +503,8 @@ class VsgInverter(_GridFormingBase):
         ])
 
     def _stationary_state(self, theta_star, op, setpoint):
-        return np.array([theta_star + internal_phase(op, self.X_q), 0.0])
+        phi = internal_phase(op, self.X_q)
+        return np.array([theta_star + phi, np.zeros_like(phi)])
 
     def energy(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         U_q, U_d = self._source(state, theta, V, setpoint).potential()
@@ -436,7 +516,7 @@ class VsgInverter(_GridFormingBase):
 
     def energy_hessian(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         H = self._source(state, theta, V, setpoint).hessian(4)
-        H[1, 1] = omega0 * self.M
+        H[..., 1, 1] = omega0 * self.M
         return H
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
@@ -492,10 +572,10 @@ class ConstantPowerLoad(Device):
     kind = "load"
     state_names = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():  # either sign
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+    @classmethod
+    def _rules(cls, p):
+        for name, value in p.items():  # either sign
+            yield abs(value) < math.inf, f"{name} must be finite, got {{{name}}}"
 
     def stationary_setpoint(self, op):
         return None

@@ -3,17 +3,17 @@
 Between grid points only the swept bus's device changes, so the balance
 check, the network Hessian and the other buses' coefficients, stiffness and
 energy blocks are computed once per system and flow (`_FlowInvariants`).
-Each X_d row of the grid then goes as one stack of its X_q points through the
-kernels that `certify` and `eigenvalue_verdict` run on a stack of one, so
-every point's verdicts and `min_eig` are those of evaluating it on its own.
-A kernel raises if it rejects any point of its stack; the sweep then halves
-the stack and evaluates each half again, until the failing point stands alone
-and is infeasible in that column. A clean row takes one call per kernel.
+Each X_d row of the grid is one row of swept devices: their closed forms are
+evaluated once, over arrays of the row's points, and the row goes as one
+stack through the kernels that `certify` and `eigenvalue_verdict` run on a
+stack of one, so every point's verdicts and `min_eig` are those of
+evaluating it on its own. A kernel raises if it rejects any point of its
+stack; the sweep then halves the stack and evaluates each half again, until
+the failing point stands alone and is infeasible in that column. A clean row
+takes one call per kernel.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -26,10 +26,11 @@ from .certificate import (
     _deflated_eigh,
     _gamma_gate,
     _stiffness_block,
+    bus_stiffness_block,
     structural_null_vector,
     synchronizing_coefficient,
 )
-from .devices import CapabilityError, ConstantPowerLoad
+from .devices import CapabilityError, ConstantPowerLoad, _capability
 from .linearization import (
     DegenerateEquilibriumError,
     _add_device_block,
@@ -41,8 +42,6 @@ from .linearization import (
 from .network import network_hessian
 
 __all__ = ["sweep_verdicts"]
-
-_INFEASIBLE = ("infeasible", "infeasible", None)
 
 
 def sweep_verdicts(system, flow, bus, xd_values, xq_values):
@@ -98,59 +97,62 @@ class _FlowInvariants:
         for i, dev in enumerate(devices):
             if i == bus:
                 continue
-            blocks = _device_blocks(dev, float(flow.theta[i]), ops[i], self.omega0)
-            if blocks is None:
+            try:
+                hessian, damping, holds = _device_blocks(dev, float(flow.theta[i]), ops[i],
+                                                         self.omega0)
+            except ValueError:  # capability, or a load the flow does not match
+                holds = False
+            if not holds:
                 self.equilibrium = False
                 break
-            _add_device_block(self.H, blocks[0], slices[i], n_x + 2 * i)
-            self.R[slices[i], slices[i]] = blocks[1]
+            _add_device_block(self.H, hessian, slices[i], n_x + 2 * i)
+            self.R[slices[i], slices[i]] = damping
 
     def row(self, x_d, xq_values):
         """(certificate verdict, eigenvalue verdict, min_eig) at each (x_d, x_q)."""
+        n = len(xq_values)
+        out = [np.full(n, value, dtype=object) for value in ("infeasible", "infeasible", None)]
         if not self.certifiable:
-            return [_INFEASIBLE] * len(xq_values)
-        out, cert, eig = [], [], []  # (point, gamma, device) and (point, Hessian, damping block)
-        for k, x_q in enumerate(xq_values):
-            try:
-                dev = dataclasses.replace(self.device, X_d=x_d, X_q=x_q)
-                cert.append((k, synchronizing_coefficient(self.op, dev.X_d, dev.X_q), dev))
-            except ValueError:  # reactances the device rejects, or a CapabilityError
-                out.append(_INFEASIBLE)
-                continue
-            out.append([None, "infeasible", None])
-            if self.equilibrium and (blocks := _device_blocks(dev, self.theta, self.op, self.omega0)):
-                eig.append((k, *blocks))
-        if cert:
-            _settle(out, 0, self._certify, *zip(*cert))
-        if eig:
-            _settle(out, 1, self._eigen, *zip(*eig))
-        return out
+            return list(zip(*out))
+        xd, xq = np.full(n, x_d, dtype=float), np.asarray(xq_values, dtype=float)
+        # a closed form that overflows is left to the kernels, which reject its point
+        with np.errstate(all="ignore"):
+            # where the device can be built and has an internal phase; both verdicts stay
+            # infeasible elsewhere
+            points = np.flatnonzero(self.device.admits(X_d=xd, X_q=xq)
+                                    & ~_capability(self.op, xq)[1])
+            dev = self.device.with_reactances(xd[points], xq[points])
+            if points.size:
+                gammas = synchronizing_coefficient(self.op, dev.X_d, dev.X_q)
+                _settle(out, 0, self._certify, points, gammas, dev.X_d, dev.X_q)
+            if self.equilibrium:
+                hessians, dampings, holds = _device_blocks(dev, self.theta, self.op, self.omega0)
+                dampings = np.broadcast_to(dampings, hessians.shape[:1] + dampings.shape[-2:])
+                if holds.any():
+                    _settle(out, 1, self._eigen, points[holds], hessians[holds], dampings[holds])
+        return list(zip(*out))
 
-    def _certify(self, out, points, gammas, devices):
+    def _certify(self, out, points, gammas, xd, xq):
         G = np.repeat(self.gammas[None], len(points), axis=0)
         G[:, self.col] = gammas
-        verdicts, _ = _gamma_gate(G, self.gens)
-        min_eigs = [None] * len(points)
-        matrix = [j for j, v in enumerate(verdicts) if v is None]  # what the condition matrix decides
-        if matrix:
-            blocks = np.repeat(self.blocks[None], len(matrix), axis=0)
-            blocks[:, self.bus] = [_stiffness_block(devices[j], self.op) for j in matrix]
-            M = np.repeat(self.nh[None], len(matrix), axis=0)
+        verdicts = np.array(_gamma_gate(G, self.gens)[0], dtype=object)
+        min_eigs = np.full(len(points), None, dtype=object)
+        matrix = np.flatnonzero(np.equal(verdicts, None))  # what the condition matrix decides
+        if matrix.size:
+            blocks = np.repeat(self.blocks[None], matrix.size, axis=0)
+            blocks[:, self.bus] = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
+            M = np.repeat(self.nh[None], matrix.size, axis=0)
             _add_stiffness(M, blocks, range(blocks.shape[1]))
             lam = _deflated_eigh(M, self.Z)[0]
-            for j, v, m in zip(matrix, _band(lam, "stable"), lam):
-                verdicts[j], min_eigs[j] = v, float(m)
-        for k, v, m in zip(points, verdicts, min_eigs):
-            out[k][0], out[k][2] = v, m
+            verdicts[matrix], min_eigs[matrix] = _band(lam, "stable"), lam.tolist()
+        out[0][points], out[2][points] = verdicts, min_eigs
 
     def _eigen(self, out, points, hessians, dampings):
         H = np.repeat(self.H[None], len(points), axis=0)
-        _add_device_block(H, np.array(hessians), self.states, self.bus_col)
+        _add_device_block(H, hessians, self.states, self.bus_col)
         R = np.repeat(self.R[None], len(points), axis=0)
-        R[:, self.states, self.states] = np.array(dampings)
-        verdicts, _ = _spectrum_verdicts(_spectra(R, _kron_reduce(H, self.n_x)[0]))
-        for k, v in zip(points, verdicts):
-            out[k][1] = v
+        R[:, self.states, self.states] = dampings
+        out[1][points] = _spectrum_verdicts(_spectra(R, _kron_reduce(H, self.n_x)[0]))[0]
 
 
 def _settle(out, column, evaluate, points, *stacks):
@@ -162,7 +164,7 @@ def _settle(out, column, evaluate, points, *stacks):
         evaluate(out, points, *stacks)
     except (CertificateError, DegenerateEquilibriumError, np.linalg.LinAlgError):
         if len(points) == 1:
-            out[points[0]][column] = "infeasible"
+            out[column][points[0]] = "infeasible"
             return
         half = len(points) // 2
         for part in (slice(None, half), slice(half, None)):
@@ -170,11 +172,8 @@ def _settle(out, column, evaluate, points, *stacks):
 
 
 def _device_blocks(dev, theta, op, omega0):
-    """Energy Hessian and damping block of a device at its stationary state, or None where
-    `PowerSystem.equilibrium` would raise, after which `assemble_energy_hessian`'s check holds."""
-    try:
-        setpoint = dev.stationary_setpoint(op)
-        state = dev.stationary_state(theta, op, omega0)
-    except ValueError:  # capability, stationary residual, or a load the flow does not match
-        return None
-    return dev.energy_hessian(state, theta, op.V, setpoint, omega0), dev.damping_block(omega0)
+    """Energy Hessian and damping block of a device, or of a row of devices, at its stationary
+    state, and where that state passes `stationary_state`'s check; where it does,
+    `assemble_energy_hessian`'s check passes too."""
+    setpoint, state, holds, _ = dev.stationary(theta, op, omega0)
+    return dev.energy_hessian(state, theta, op.V, setpoint, omega0), dev.damping_block(omega0), holds

@@ -18,6 +18,9 @@ STATIONARY_FAILURE_X3 = (1e-6, 5e5)
 # a bus 2 device whose synchronizing coefficient is negative at the fixture's flow
 NEGATIVE_GAMMA_VSG = {"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 50.0, "X_q": 1.9}
 
+# a droop inverter with the fixture VSG's reactances
+DROOP = {"kind": "fdc", "D": 1.0, "X_d": 0.1, "X_q": 0.069}
+
 
 @pytest.fixture
 def three_bus_path(tmp_path):
@@ -429,6 +432,10 @@ class TestSweep:
         # depends on X_d
         "bus1-two-axis": (None, 1, ["forming", "following"], (0.01, 0.2, 6), (0.069, 0.069, 1),
                           {"infeasible", "stable"}),
+        # both transient reactance rules, X_d' = 0.05 < X_d and X_q' = 0.03 < X_q, cut the
+        # grid, and the damping block changes along each row
+        "bus1-two-axis-2d": (None, 1, ["forming", "following"], (0.01, 0.3, 8), (0.01, 0.2, 8),
+                             {"infeasible", "stable"}),
         "bus2-forming": (None, 2, ["forming"], (0.01, 50, 30), (0.01, 1.98, 30),
                          {"infeasible", "gamma", "unstable", "stable"}),
         # bus 2's own synchronizing coefficient is negative, whatever bus 3's reactances
@@ -437,6 +444,9 @@ class TestSweep:
         # the Kron condition limit rejects the X_q = 1e-10 column and the (1e-6, 4) point
         "bus3-kron-rejects": (None, 3, ["forming", "following"], (1e-6, 0.1, 4), (1e-10, 12, 4),
                               {"stable", "infeasible"}),
+        # a droop inverter swept at bus 2: one state, no inertia
+        "bus2-droop": (DROOP, 2, ["forming"], (0.01, 12, 8), (0.01, 12, 8),
+                       {"infeasible", "gamma", "unstable", "stable"}),
     }
 
     @pytest.mark.parametrize("grid", list(ORACLE_GRIDS))

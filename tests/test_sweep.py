@@ -8,12 +8,14 @@ shares with `certify` and `eigenvalue_verdict` are tested beside them, in
 test_certificate.py and test_linearization.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import certificate, devices
 from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
 from gridcert.linearization import DegenerateEquilibriumError, _spectrum_verdicts
 from gridcert.sweep import sweep_verdicts
@@ -135,16 +137,40 @@ def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
 
 
 def test_clean_rows_take_one_call_per_kernel(fixture_cfg, monkeypatch):
-    # the benchmark grid: no kernel rejects a point, so no row is evaluated twice
-    calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0}
-    for name in calls:
+    # the benchmark grid: no kernel rejects a point, so no row is evaluated twice, and the
+    # swept device's closed forms are evaluated once per row, over arrays of its points
+    calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "internal_phase": 0}
+    for name in ("eigh", "eigvalsh", "eigvals"):
         def counting(a, _original=getattr(np.linalg, name), _name=name):
             calls[_name] += 1
             return _original(a)
         monkeypatch.setattr(np.linalg, name, counting)
+
+    def counting_phase(op, X_q, _original=devices.internal_phase):
+        calls["internal_phase"] += 1
+        return _original(op, X_q)
+    for module in (devices, certificate):
+        monkeypatch.setattr(module, "internal_phase", counting_phase)
     grid = np.linspace(0.1, 12, 40)
     for mode in ("forming", "following"):
         cfg = gc.apply_load_mode(fixture_cfg, mode)
         rows = list(sweep_verdicts(cfg.system, solved(cfg), cfg.bus_ids.index(3), grid, grid))
         assert "infeasible" not in {v for row in rows for v in row[2:4]}
+    phases = calls.pop("internal_phase")
     assert calls == {"eigh": 80, "eigvalsh": 80, "eigvals": 80}
+    # 80 rows of 40 points: a handful of calls per row, where one per point would be 3,200
+    assert 80 <= phases <= 8 * 80
+
+
+def test_min_eig_equals_certify_bit_for_bit(fixture_cfg):
+    # the CSV's 12 digits would hide a last-bit slip in the row's closed forms
+    grid = np.linspace(0.1, 12, 12)
+    for mode in ("forming", "following"):
+        cfg = gc.apply_load_mode(fixture_cfg, mode)
+        flow = solved(cfg)
+        bus = cfg.bus_ids.index(3)
+        for x_d, x_q, _, _, min_eig in sweep_verdicts(cfg.system, flow, bus, grid, grid):
+            swept = list(cfg.system.devices)
+            swept[bus] = dataclasses.replace(swept[bus], X_d=x_d, X_q=x_q)
+            system = gc.PowerSystem(cfg.system.net, swept, cfg.system.omega0)
+            assert min_eig == gc.certify(flow, system, bus_ids=cfg.bus_ids).min_eig
