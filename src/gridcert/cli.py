@@ -127,19 +127,20 @@ def cmd_simulate(args):
 
     buf = _output(args, "t,bus,theta,V,P,Q,delta,omega,E_q,E_d,W\n")
     slices = cfg.system.state_slices()
-    for k in range(traj.t.size):
-        v = traj.v[k]
+    # rows as Python floats, which format like numpy's and skip its scalar arithmetic
+    for t, x, v, W in zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.W.tolist()):
+        t_text, W_text = _fmt(t), _fmt(W)
         for i, dev in enumerate(cfg.system.devices):
             theta_i, V_i = v[2 * i], v[2 * i + 1]
-            state = traj.x[k][slices[i]]
+            state = x[slices[i]]
             P, Q = dev.output_power(state, theta_i, V_i, eq.setpoints[i])
             cells = {"delta": "", "omega": "", "E_q": "", "E_d": ""}
             for name, value in zip(dev.state_names, state):
                 cells[name] = _fmt(value)
             buf.write(",".join([
-                _fmt(traj.t[k]), str(cfg.bus_ids[i]), _fmt(theta_i), _fmt(V_i),
+                t_text, str(cfg.bus_ids[i]), _fmt(theta_i), _fmt(V_i),
                 _fmt(P), _fmt(Q), cells["delta"], cells["omega"],
-                cells["E_q"], cells["E_d"], _fmt(traj.W[k]),
+                cells["E_q"], cells["E_d"], W_text,
             ]) + "\n")
     _emit(buf.getvalue(), args.out)
     if traj.truncated:

@@ -171,9 +171,10 @@ class _Source:
     The two-axis machine passes its states (E_q, E_d) and transient
     reactances, the grid-forming inverters (V_fd, 0) and their synchronous
     ones. Phasor and currents are evaluated once, on construction; the
-    voltage Newton takes its gradient, Hessian block, residual and the state
-    derivative from one source per device and iterate. Phasor, currents,
-    power and second derivatives are elementwise over a sweep row's arrays.
+    voltage Newton takes its gradient, Hessian block, residual, the state
+    derivative and the storage from one source per device and iterate.
+    Phasor, currents, power and second derivatives are elementwise over a
+    sweep row's arrays.
     """
 
     __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q",
@@ -224,9 +225,9 @@ class _Source:
         return h_dd, h_dV, self.s2 / x_q + self.c2 / x_d
 
     def bus_block(self):
-        """2x2 Hessian of U over the bus's (theta, V)."""
+        """(theta, theta), (theta, V) and (V, V) entries of U's Hessian over the bus's (theta, V)."""
         h_dd, h_dV, h_VV = self.second_derivatives()
-        return np.array([[h_dd, -h_dV], [-h_dV, h_VV]])
+        return h_dd, -h_dV, h_VV
 
     def hessian(self, size):
         """size x size matrix holding the Hessian of U over (delta, theta, V).
@@ -252,10 +253,10 @@ class _ConstantPower:
     Newton residual and Q/V^2 to the (V, V) entry of its Hessian.
     """
 
-    __slots__ = ("P", "Q", "V")
+    __slots__ = ("P", "Q", "theta", "V")
 
-    def __init__(self, P, Q, V):
-        self.P, self.Q, self.V = P, Q, V
+    def __init__(self, P, Q, theta, V):
+        self.P, self.Q, self.theta, self.V = P, Q, theta, V
 
     def power(self):
         return self.P, self.Q
@@ -264,7 +265,7 @@ class _ConstantPower:
         return -self.P, -self.Q / self.V
 
     def bus_block(self):
-        return np.array([[0.0, 0.0], [0.0, self.Q / self.V**2]])
+        return 0.0, 0.0, self.Q / self.V**2
 
 
 class Device:
@@ -327,32 +328,39 @@ class Device:
         residual = np.abs(deriv).max(axis=0, initial=0.0)
         return setpoint, state, ~(residual > _STATIONARY_TOL), residual
 
-    def stationary_state(self, theta_star, op, omega0=OMEGA0_DEFAULT):
-        """Device state at equilibrium for bus angle `theta_star` and operating point `op`.
+    def stationary_point(self, theta_star, op, omega0=OMEGA0_DEFAULT):
+        """Setpoint and state at equilibrium for bus angle `theta_star` and operating point `op`.
 
-        Verified against the zero-derivative post-condition before returning;
-        raises StationaryStateError if it fails.
+        The state is verified against the zero-derivative post-condition
+        before returning; raises StationaryStateError if it fails.
         """
-        _, state, holds, residual = self.stationary(theta_star, op, omega0)
+        setpoint, state, holds, residual = self.stationary(theta_star, op, omega0)
         if not _all(holds):
             raise StationaryStateError(
                 f"{self.kind} stationary state residual {np.max(residual):.3e} "
                 f"exceeds {_STATIONARY_TOL:.1e}"
             )
-        return state
+        return setpoint, state
+
+    def stationary_state(self, theta_star, op, omega0=OMEGA0_DEFAULT):
+        """The state of `stationary_point`."""
+        return self.stationary_point(theta_star, op, omega0)[1]
 
     def output_power(self, state, theta, V, setpoint=None):
         return self._source(state, theta, V, setpoint).power()
 
     def state_derivative(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         src = self._source(state, theta, V, setpoint)
-        return self._state_derivative(state, src, setpoint, omega0)
+        return self._state_derivative(state, src, src.power()[0], setpoint, omega0)
 
-    # subclasses implement:
+    def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
+        return self._energy(state, self._source(state, theta, V, setpoint), omega0)
+
+    # subclasses implement, with src from _source and P its active power:
     #   _source(state, theta, V, setpoint) -> _Source or _ConstantPower
-    #   _state_derivative(state, src, setpoint, omega0) -> ndarray, src from _source
+    #   _state_derivative(state, src, P, setpoint, omega0) -> ndarray
     #   _stationary_state(theta_star, op, setpoint) -> ndarray
-    #   energy(state, theta, V, setpoint, omega0) -> float
+    #   _energy(state, src, omega0) -> float
     #   energy_gradient(state, theta, V, setpoint, omega0) -> ndarray
     #   energy_hessian(state, theta, V, setpoint, omega0) -> ndarray
     #   damping_block(omega0) -> ndarray over internal states
@@ -397,8 +405,7 @@ class TwoAxisGenerator(Device):
     def _source(self, state, theta, V, setpoint=None):
         return _Source(state[0] - theta, V, state[2], state[3], *self.connection_reactances)
 
-    def _state_derivative(self, state, src, setpoint, omega0):
-        P, _ = src.power()
+    def _state_derivative(self, state, src, P, setpoint, omega0):
         return np.array([
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
@@ -415,8 +422,8 @@ class TwoAxisGenerator(Device):
         E_q = (self.X_d_prime * setpoint.V_fd + (self.X_d - self.X_d_prime) * vq) / self.X_d
         return np.array([theta_star + phi, np.zeros_like(phi), E_q, E_d])
 
-    def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        U_q, U_d = self._source(state, theta, V, setpoint).potential()
+    def _energy(self, state, src, omega0):
+        U_q, U_d = src.potential()
         _, omega, E_q, E_d = state
         return (omega0 * self.M * omega**2 / 2
                 + E_q**2 / (2 * (self.X_d - self.X_d_prime))
@@ -495,8 +502,7 @@ class VsgInverter(_GridFormingBase):
     kind = "vsg"
     state_names = ("delta", "omega")
 
-    def _state_derivative(self, state, src, setpoint, omega0):
-        P, _ = src.power()
+    def _state_derivative(self, state, src, P, setpoint, omega0):
         return np.array([
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
@@ -506,8 +512,8 @@ class VsgInverter(_GridFormingBase):
         phi = internal_phase(op, self.X_q)
         return np.array([theta_star + phi, np.zeros_like(phi)])
 
-    def energy(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        U_q, U_d = self._source(state, theta, V, setpoint).potential()
+    def _energy(self, state, src, omega0):
+        U_q, U_d = src.potential()
         return omega0 * self.M * state[1] ** 2 / 2 + (U_q + U_d)
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
@@ -537,15 +543,14 @@ class DroopInverter(_GridFormingBase):
     kind = "fdc"
     state_names = ("delta",)
 
-    def _state_derivative(self, state, src, setpoint, omega0):
-        P, _ = src.power()
+    def _state_derivative(self, state, src, P, setpoint, omega0):
         return np.array([omega0 * (setpoint.P_m - P) / self.D])
 
     def _stationary_state(self, theta_star, op, setpoint):
         return np.array([theta_star + internal_phase(op, self.X_q)])
 
-    def energy(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        return sum(self._source(state, theta, V, setpoint).potential())
+    def _energy(self, state, src, omega0):
+        return sum(src.potential())
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         dU_ddelta, dU_dV = self._source(state, theta, V, setpoint).angle_gradient()
@@ -590,19 +595,20 @@ class ConstantPowerLoad(Device):
         return np.zeros(0)
 
     def _source(self, state, theta, V, setpoint=None):
-        return _ConstantPower(self.P_ref, self.Q_ref, V)
+        return _ConstantPower(self.P_ref, self.Q_ref, theta, V)
 
-    def _state_derivative(self, state, src, setpoint, omega0):
+    def _state_derivative(self, state, src, P, setpoint, omega0):
         return np.zeros(0)
 
-    def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        return -self.P_ref * theta - self.Q_ref * math.log(V)
+    def _energy(self, state, src, omega0):
+        return -self.P_ref * src.theta - self.Q_ref * math.log(src.V)
 
     def energy_gradient(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         return np.array(self._source(state, theta, V).bus_gradient())
 
     def energy_hessian(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
-        return self._source(state, theta, V).bus_block()
+        h_tt, h_tV, h_VV = self._source(state, theta, V).bus_block()
+        return np.array([[h_tt, h_tV], [h_tV, h_VV]])
 
     def damping_block(self, omega0=OMEGA0_DEFAULT):
         return np.zeros((0, 0))

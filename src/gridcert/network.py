@@ -134,7 +134,7 @@ def _angle_terms(theta, V, B):
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
     D = np.subtract.outer(theta, theta)
-    return np.cos(D), np.sin(D, out=D), B * np.outer(V, V)  # sin reuses D once cos has read it
+    return np.cos(D), np.sin(D, out=D), B * np.multiply.outer(V, V)  # sin reuses D once cos has read it
 
 
 def power_balance(theta, V, net):
@@ -152,21 +152,26 @@ def _balance(C, S, W):
     return (S * W).sum(axis=1), -(C * W).sum(axis=1)
 
 
-def _hessian_blocks(theta, V, B, terms=None):
-    """(theta, theta), (theta, V) and (V, V) blocks of the network energy Hessian."""
+def _hessian_blocks(theta, V, B, terms=None, out=None):
+    """(theta, theta), (theta, V) and (V, V) blocks of the network energy Hessian.
+
+    Written into `out`, three N x N arrays or views, when given, else into new arrays.
+    """
     C, S, W = _angle_terms(theta, V, B) if terms is None else terms
     V = np.asarray(V, dtype=float)
+    tt, tv, vv = (None,) * 3 if out is None else out
+    diag = slice(None, None, B.shape[0] + 1)  # the diagonal of a block's .flat
 
-    tt = -W * C
-    np.fill_diagonal(tt, 0.0)
-    np.fill_diagonal(tt, -tt.sum(axis=1))
+    tt = np.multiply(-W, C, out=tt)
+    tt.flat[diag] = 0.0
+    tt.flat[diag] = -tt.sum(axis=1)
 
     BS = B * S
-    tv = BS * V[:, None]
-    np.fill_diagonal(tv, (BS * V[None, :]).sum(axis=1))
+    tv = np.multiply(BS, V[:, None], out=tv)
+    tv.flat[diag] = (BS * V).sum(axis=1)
 
-    vv = -B * C
-    np.fill_diagonal(vv, -np.diag(B))
+    vv = np.multiply(-B, C, out=vv)
+    vv.flat[diag] = -B.diagonal()
     return tt, tv, vv
 
 
@@ -177,15 +182,14 @@ def network_hessian(theta, V, B, terms=None):
     the Jacobian of (P, Q/V), the transmission network's contribution to the
     stability condition, and annihilates the uniform phase-shift direction.
     A caller that already holds `_angle_terms(theta, V, B)` passes it as
-    `terms`, so the cosines and sines are not formed again.
+    `terms`, so the cosines and sines are not formed again. The blocks are
+    written straight into the strided views of the result.
     """
-    tt, tv, vv = _hessian_blocks(theta, V, B, terms)
-    n = tt.shape[0]
+    n = B.shape[0]
     L = np.empty((2 * n, 2 * n))
-    L[0::2, 0::2] = tt
-    L[0::2, 1::2] = tv
+    _, tv, _ = _hessian_blocks(theta, V, B, terms,
+                               out=(L[0::2, 0::2], L[0::2, 1::2], L[1::2, 1::2]))
     L[1::2, 0::2] = tv.T
-    L[1::2, 1::2] = vv
     return L
 
 

@@ -1,15 +1,23 @@
 """Nonlinear time-domain integration of the differential-algebraic power system.
 
-Semi-explicit index-1 treatment: device states advance with classical
-fixed-step RK4 while the bus voltages (theta_i, V_i) are re-solved by Newton
-at every stage so that device outputs match the network power balance.
+Semi-explicit index-1 treatment, the partitioned scheme of Stott (Proc. IEEE
+67(2), 1979): device states advance with classical fixed-step RK4 while the
+bus voltages (theta_i, V_i) are re-solved by Newton at every stage so that
+device outputs match the network power balance.
 
 Each Newton iterate is evaluated once: one pass of the network's angle terms
 and one voltage source per device give the energy gradient and, while the
-iterate has not converged, the voltage Hessian. At the converged iterate the
-same network (P, Q) and sources give the residual post-check and the stage's
-state derivative. The solve that ends an RK4 step is at the next step's
-starting point, so it also supplies that step's first stage.
+iterate has not converged, the voltage Hessian. On a few buses an iterate
+costs numpy calls rather than arithmetic, so the feasibility check, the
+device sources, the gradient and the convergence test run on Python floats,
+and each device adds its (theta, V) block into the network Hessian as four
+scalars. At the converged iterate the same network (P, Q) and sources give
+the residual post-check, with each source's (P, Q) formed once, and the
+stage's state derivative. The solve that ends an RK4 step is at the next
+step's starting point, so it also supplies that step's first stage and the
+Bregman storage recorded for the step. Python floats and numpy scalars round
+alike, and each array product, row sum and `np.dot` takes the operands of
+the per-piece evaluation, so trajectories do not change by a bit.
 
 Along trajectories the total Bregman storage (relative to a chosen
 equilibrium) is tracked; for exact solutions it decays at the analytic
@@ -20,6 +28,7 @@ dissipation rate. The public functions take device states as one vector
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -48,7 +57,8 @@ class AlgebraicSolveError(RuntimeError):
 
 
 def _split_states(x, slices):
-    return [np.asarray(x[sl], dtype=float) for sl in slices]
+    x = np.asarray(x, dtype=float).tolist()
+    return [x[sl] for sl in slices]
 
 
 def _mismatch(powers, P_net, Q_net):
@@ -60,31 +70,40 @@ def _mismatch(powers, P_net, Q_net):
 
 
 def _voltage_newton(system, states, v_guess, setpoints):
-    """`solve_bus_voltages` on per-device `states`, also returning each device's source there."""
+    """`solve_bus_voltages` on per-device `states`.
+
+    Also returns the network's Q and each device's source and (P, Q) at the
+    solution.
+    """
     B = system.net.B
+    blocks = range(0, 2 * system.n_bus, 2)
     v = np.array(v_guess, dtype=float)
     for _ in range(_NEWTON_MAX_ITER):
-        if (v[1::2] <= 0).any() or not np.isfinite(v).all():
+        values = v.tolist()
+        V_l = values[1::2]
+        if min(V_l) <= 0 or not all(map(math.isfinite, values)):
             raise AlgebraicSolveError("bus voltage iterate left the feasible region")
         theta = v[0::2]
         V = v[1::2]
         terms = _angle_terms(theta, V, B)
         P_net, Q_net = _balance(*terms)
-        sources = [dev._source(states[i], theta[i], V[i], setpoints[i])
+        P_l, Q_l = P_net.tolist(), Q_net.tolist()
+        sources = [dev._source(states[i], values[2 * i], V_l[i], setpoints[i])
                    for i, dev in enumerate(system.devices)]
         # gradient of the total energy over interleaved (theta, V)
-        g = np.empty_like(v)
-        g[0::2] = P_net
-        g[1::2] = Q_net / V
-        for i, src in enumerate(sources):
+        g = []
+        for P, Q, V_i, src in zip(P_l, Q_l, V_l, sources):
             g_theta, g_V = src.bus_gradient()
-            g[2 * i] += g_theta
-            g[2 * i + 1] += g_V
-        if np.abs(g).max() <= 0.1 * _NEWTON_TOL:
+            g += (P + g_theta, Q / V_i + g_V)
+        if all(abs(g_i) <= 0.1 * _NEWTON_TOL for g_i in g):  # a NaN never passes, unlike max()'s
             break
         H = network_hessian(theta, V, B, terms)
-        for i, src in enumerate(sources):
-            H[2 * i:2 * i + 2, 2 * i:2 * i + 2] += src.bus_block()
+        for j, src in zip(blocks, sources):
+            h_tt, h_tV, h_VV = src.bus_block()  # a load adds its zeros too: -0.0 turns +0.0
+            H[j, j] += h_tt
+            H[j, j + 1] += h_tV
+            H[j + 1, j] += h_tV
+            H[j + 1, j + 1] += h_VV
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -95,10 +114,11 @@ def _voltage_newton(system, states, v_guess, setpoints):
             f"voltage Newton did not converge in {_NEWTON_MAX_ITER} iterations "
             f"(residual {np.abs(g).max():.3e})"
         )
-    res = _mismatch([src.power() for src in sources], P_net, Q_net)
+    powers = [src.power() for src in sources]
+    res = _mismatch(powers, P_l, Q_l)
     if res > _NEWTON_TOL:
         raise AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {_NEWTON_TOL:.1e}")
-    return v, sources
+    return v, Q_net, sources, powers
 
 
 def algebraic_residual(system, x, v, setpoints):
@@ -127,36 +147,34 @@ def solve_bus_voltages(system, x, v_guess, setpoints):
 
 
 def _storage(system, eq: Equilibrium):
-    """`bregman_storage` against `eq` as a function of (x, v).
+    """`bregman_storage` against `eq` from the pieces of a voltage solve.
 
-    The equilibrium-side terms are formed once, here.
+    The function returned takes per-device states, the bus voltages v, the
+    network's Q at v and each device's source there. The equilibrium-side
+    terms are formed once, here.
     """
     omega0 = system.omega0
-    slices = system.state_slices()
     theta_s = np.asarray(eq.flow.theta, dtype=float)
     V_s = np.asarray(eq.flow.V, dtype=float)
     _, Q_net_s = power_balance(theta_s, V_s, system.net)
     Q_sum_s = Q_net_s.sum()
     dV_s = Q_net_s / V_s  # network gradient at the equilibrium: (P*, Q*/V*) per bus
     device_s = [
-        (dev, sp, xs,
-         dev.energy(xs, theta_s[i], V_s[i], sp, omega0),
+        (dev, xs.tolist(), dev.energy(xs, theta_s[i], V_s[i], sp, omega0),
          dev.energy_gradient(xs, theta_s[i], V_s[i], sp, omega0))
         for i, (dev, sp, xs) in enumerate(zip(system.devices, eq.setpoints, eq.states))
     ]
+    v_s = eq.v().tolist()
 
-    def storage(x, v):
-        states = _split_states(x, slices)
-        theta = v[0::2]
-        V = v[1::2]
+    def storage(states, v, Q_net, sources):
         # the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j) is sum(Q)/2
-        _, Q_net = power_balance(theta, V, system.net)
         W = 0.5 * float(Q_net.sum() - Q_sum_s)
-        W -= float(np.dot(eq.flow.P, theta - theta_s) + np.dot(dV_s, V - V_s))
-        for i, (dev, sp, xs, U_s, gs) in enumerate(device_s):
-            W += dev.energy(states[i], theta[i], V[i], sp, omega0)
+        W -= float(np.dot(eq.flow.P, v[0::2] - theta_s) + np.dot(dV_s, v[1::2] - V_s))
+        dv = [a - b for a, b in zip(v.tolist(), v_s)]
+        for i, ((dev, xs, U_s, gs), state, src) in enumerate(zip(device_s, states, sources)):
+            W += dev._energy(state, src, omega0)
             W -= U_s
-            dz = np.concatenate([states[i] - xs, [theta[i] - theta_s[i], V[i] - V_s[i]]])
+            dz = [a - b for a, b in zip(state, xs)] + dv[2 * i:2 * i + 2]
             W -= float(np.dot(gs, dz))
         return float(W)
 
@@ -169,7 +187,14 @@ def bregman_storage(system, eq: Equilibrium, x, v):
     Zero with zero gradient at the equilibrium itself; serves as the Lyapunov
     function along simulated trajectories.
     """
-    return _storage(system, eq)(x, v)
+    states = _split_states(x, system.state_slices())
+    v = np.asarray(v, dtype=float)
+    theta = v[0::2]
+    V = v[1::2]
+    _, Q_net = power_balance(theta, V, system.net)
+    sources = [dev._source(states[i], theta[i], V[i], sp)
+               for i, (dev, sp) in enumerate(zip(system.devices, eq.setpoints))]
+    return _storage(system, eq)(states, v, Q_net, sources)
 
 
 def dissipation_rate(system, x, v, setpoints):
@@ -258,33 +283,35 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     x = np.array(x0 if x0 is not None else eq.x(), dtype=float)
 
     def rhs(x_stage, v_warm):
-        """State derivative at `x_stage`, with the bus voltages solved there."""
+        """State derivative at `x_stage`, the bus voltages solved there and the storage's pieces."""
         states = _split_states(x_stage, slices)
-        v_stage, sources = _voltage_newton(system, states, v_warm, setpoints)
-        parts = [dev._state_derivative(states[i], src, setpoints[i], system.omega0)
-                 for i, (dev, src) in enumerate(zip(system.devices, sources))]
-        return (np.concatenate(parts) if parts else np.zeros(0)), v_stage
+        v_stage, Q_net, sources, powers = _voltage_newton(system, states, v_warm, setpoints)
+        parts = [dev._state_derivative(state, src, P, sp, system.omega0)
+                 for dev, state, src, (P, _), sp in zip(system.devices, states, sources, powers,
+                                                        setpoints)]
+        deriv = np.concatenate(parts) if parts else np.zeros(0)
+        return deriv, v_stage, (states, v_stage, Q_net, sources)
 
-    k1, v = rhs(x, eq.v())
+    k1, v, solved = rhs(x, eq.v())
 
-    xs = [x.copy()]
-    vs = [v.copy()]
-    Ws = [storage(x, v)]
+    xs = [x]
+    vs = [v]
+    Ws = [storage(*solved)]
     diagnostic = None
 
     for k in range(n_steps):
         try:
-            k2, v2 = rhs(x + 0.5 * dt * k1, v)
-            k3, v3 = rhs(x + 0.5 * dt * k2, v2)
-            k4, v4 = rhs(x + dt * k3, v3)
+            k2, v2, _ = rhs(x + 0.5 * dt * k1, v)
+            k3, v3, _ = rhs(x + 0.5 * dt * k2, v2)
+            k4, v4, _ = rhs(x + dt * k3, v3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1, v = rhs(x, v4)  # the next step's first stage
+            k1, v, solved = rhs(x, v4)  # the next step's first stage, and its storage
         except AlgebraicSolveError as exc:
             diagnostic = f"truncated at t={k * dt:.6g}s: {exc}"  # the time of the last row
             break
-        xs.append(x.copy())
-        vs.append(v.copy())
-        Ws.append(storage(x, v))
+        xs.append(x)
+        vs.append(v)
+        Ws.append(storage(*solved))
 
     return Trajectory(
         t=np.arange(len(xs)) * dt,  # row k is step k

@@ -47,13 +47,10 @@ class PowerSystem:
 
     def equilibrium(self, flow):
         """Setpoints and stationary device states realizing a solved power flow."""
-        setpoints = []
-        states = []
-        for i, dev in enumerate(self.devices):
-            op = self.operating_point(flow, i)
-            setpoints.append(dev.stationary_setpoint(op))
-            states.append(dev.stationary_state(float(flow.theta[i]), op, self.omega0))
-        return Equilibrium(system=self, flow=flow, setpoints=tuple(setpoints), states=tuple(states))
+        points = [dev.stationary_point(float(flow.theta[i]), self.operating_point(flow, i), self.omega0)
+                  for i, dev in enumerate(self.devices)]
+        setpoints, states = zip(*points)
+        return Equilibrium(system=self, flow=flow, setpoints=setpoints, states=states)
 
     def balance_residual(self, flow):
         """Infinity norm of the power-balance mismatch of a claimed flow."""

@@ -177,6 +177,57 @@ def sweep_point(cfg, flow, bus_index, x_d, x_q):
     return v_cert, v_eig, min_eig
 
 
+def network_hessian_blocks_reference(theta, V, B):
+    """The network Hessian's (theta, theta), (theta, V) and (V, V) blocks as first written.
+
+    Each block is a new array from whole-matrix products, with its diagonal
+    written last; `network_hessian` and `power_flow_jacobian` must reproduce
+    these bits, signs of zeros included.
+    """
+    theta = np.asarray(theta, dtype=float)
+    V = np.asarray(V, dtype=float)
+    D = np.subtract.outer(theta, theta)
+    C, S, W = np.cos(D), np.sin(D), B * np.outer(V, V)
+
+    tt = -W * C
+    np.fill_diagonal(tt, 0.0)
+    np.fill_diagonal(tt, -tt.sum(axis=1))
+
+    BS = B * S
+    tv = BS * V[:, None]
+    np.fill_diagonal(tv, (BS * V[None, :]).sum(axis=1))
+
+    vv = -B * C
+    np.fill_diagonal(vv, -np.diag(B))
+    return tt, tv, vv
+
+
+def network_hessian_reference(theta, V, B):
+    """The reference blocks interleaved over (theta_i, V_i) by four strided copies."""
+    tt, tv, vv = network_hessian_blocks_reference(theta, V, B)
+    n = tt.shape[0]
+    L = np.empty((2 * n, 2 * n))
+    L[0::2, 0::2] = tt
+    L[0::2, 1::2] = tv
+    L[1::2, 0::2] = tv.T
+    L[1::2, 1::2] = vv
+    return L
+
+
+def power_flow_jacobian_reference(theta, V, B):
+    """[[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]] from the reference blocks."""
+    V = np.asarray(V, dtype=float)
+    tt, tv, vv = network_hessian_blocks_reference(theta, V, B)
+    Q = -(np.cos(np.subtract.outer(theta, theta)) * (B * np.outer(V, V))).sum(axis=1)
+    n = V.size
+    J = np.empty((2 * n, 2 * n))
+    J[:n, :n] = tt
+    J[:n, n:] = tv
+    J[n:, :n] = V[:, None] * tv.T
+    J[n:, n:] = V[:, None] * vv + np.diag(Q / V)
+    return J
+
+
 def solve_bus_voltages_reference(system, x, v_guess, setpoints):
     """`solve_bus_voltages` with each piece of an iterate evaluated on its own.
 

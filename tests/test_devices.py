@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
+from gridcert import devices
 from gridcert.devices import (
     OMEGA0_DEFAULT,
     CapabilityError,
@@ -15,7 +16,13 @@ from gridcert.devices import (
     stationary_setpoint,
 )
 
-from _oracles import fd_gradient, fd_hessian, random_operating_point, random_two_axis
+from _oracles import (
+    fd_gradient,
+    fd_hessian,
+    random_operating_point,
+    random_system,
+    random_two_axis,
+)
 
 W0 = OMEGA0_DEFAULT
 BUS1 = OperatingPoint(V=1.0, P=1.0, Q=0.2886)
@@ -99,6 +106,32 @@ class TestStationaryState:
         assert load.stationary_state(0.0, OperatingPoint(V=0.99, P=-3.5, Q=-0.5)).size == 0
         with pytest.raises(ValueError):
             load.stationary_state(0.0, OperatingPoint(V=0.99, P=-3.0, Q=-0.5))
+
+
+    def test_equilibrium_takes_one_stationary_evaluation_per_device(self, monkeypatch):
+        # a 12-bus draw holding every device kind; each operating point's internal phase is
+        # formed at most twice (setpoint and state), and the equilibrium keeps the bits of a
+        # setpoint and a checked state evaluated apart
+        system, flow = random_system(np.random.default_rng(0), n_bus=12)
+        assert {dev.kind for dev in system.devices} == {"two_axis", "vsg", "fdc", "load"}
+        phases = []
+
+        def counting(op, X_q):
+            phases.append(op)
+            return phase(op, X_q)
+
+        phase = devices.internal_phase
+        monkeypatch.setattr(devices, "internal_phase", counting)
+        eq = system.equilibrium(flow)
+        monkeypatch.undo()
+        ops = [system.operating_point(flow, i) for i in range(system.n_bus)]
+        for dev, op in zip(system.devices, ops):
+            assert phases.count(op) == (0 if dev.kind == "load" else 2)
+        for i, (dev, op) in enumerate(zip(system.devices, ops)):
+            theta = float(flow.theta[i])
+            assert eq.setpoints[i] == dev.stationary_setpoint(op)
+            state = dev.stationary_state(theta, op, system.omega0)
+            assert np.array_equal(eq.states[i].view(np.uint64), state.view(np.uint64))
 
 
 class TestOutputPower:

@@ -7,7 +7,13 @@ import gridcert as gc
 from gridcert import network
 from gridcert.network import PQ, PV, Line, Network, PowerFlowError, Slack
 
-from _oracles import TABLE1, fd_gradient, random_system
+from _oracles import (
+    TABLE1,
+    fd_gradient,
+    network_hessian_reference,
+    power_flow_jacobian_reference,
+    random_system,
+)
 
 
 def test_susceptance_two_bus():
@@ -177,6 +183,26 @@ def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
         bits = gc.power_flow_jacobian(theta, V, system.net.B).view(np.uint64)
         assert np.array_equal(bits, full.view(np.uint64))
         assert np.array_equal(J.view(np.uint64), full[np.ix_(rows, rows)].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [3, 9, 50, 500])
+def test_hessian_kernels_equal_the_reference_formula(n):
+    # from n = 9 on, the diagonals' row sums take numpy's 8-way pairwise blocks; the angles
+    # and magnitudes come as the simulator's strided views of one interleaved vector
+    rng = np.random.default_rng(n)
+    lines = [Line(int(rng.integers(0, j)), j, float(rng.uniform(2.0, 40.0))) for j in range(1, n)]
+    lines += [Line(int(i), int(j), float(rng.uniform(2.0, 40.0)))
+              for i, j in (rng.choice(n, size=2, replace=False) for _ in range(n // 2))]
+    B = gc.build_susceptance(n, lines)
+    v = np.empty(2 * n)
+    v[0::2] = rng.uniform(-0.5, 0.5, n)
+    v[1::2] = rng.uniform(0.9, 1.1, n)
+    theta, V = v[0::2], v[1::2]
+    want = network_hessian_reference(theta, V, B).view(np.uint64)
+    for terms in (None, network._angle_terms(theta, V, B)):
+        assert np.array_equal(gc.network_hessian(theta, V, B, terms).view(np.uint64), want)
+    assert np.array_equal(gc.power_flow_jacobian(theta, V, B).view(np.uint64),
+                          power_flow_jacobian_reference(theta, V, B).view(np.uint64))
 
 
 def test_solve_zero_injections_flat():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import simulation
+from gridcert import devices, simulation
 from gridcert.simulation import (
     AlgebraicSolveError,
     algebraic_residual,
@@ -89,6 +91,12 @@ def two_axis_and_load_system():
             return system, system.equilibrium(flow)
 
 
+def twelve_bus_system():
+    system, flow = random_system(np.random.default_rng(0), n_bus=12)
+    assert {dev.kind for dev in system.devices} == {"two_axis", "vsg", "fdc", "load"}
+    return system, system.equilibrium(flow)
+
+
 class TestReferenceEquality:
     """The simulator equals the per-stage reference loops bit for bit."""
 
@@ -120,14 +128,27 @@ class TestReferenceEquality:
         assert errors[2] == errors[3]
         assert errors[2].startswith("voltage Newton did not converge in 8 iterations")
 
-    @pytest.mark.parametrize("case", ["forming", "following", "two_axis_load", "truncated"])
+    def test_nan_gradient_never_converges(self, monkeypatch):
+        # at the equilibrium every gradient entry is within tolerance but the load's angle
+        # entry, made NaN here; Python's max() over the entries would skip it and converge
+        system, eq = fixture_system("following")
+        monkeypatch.setattr(devices._ConstantPower, "bus_gradient",
+                            lambda self: (math.nan, -self.Q / self.V))
+        for solve in (solve_bus_voltages, solve_bus_voltages_reference):
+            with pytest.raises(AlgebraicSolveError, match="left the feasible region"):
+                solve(system, eq.x(), eq.v(), eq.setpoints)
+
+    @pytest.mark.parametrize("case", ["forming", "following", "two_axis_load", "twelve_bus",
+                                      "truncated"])
     def test_trajectory_equals_reference(self, case):
         kwargs = dict(dt=1e-3, t_end=0.1)
         if case in ("forming", "following"):
             system, eq = fixture_system(case)
             x0 = perturbed_state(eq, 0, 0.05)
-        elif case == "two_axis_load":
-            system, eq = two_axis_and_load_system()
+        elif case in ("two_axis_load", "twelve_bus"):
+            # twelve buses hold every device kind, and their rows reach numpy's pairwise sums
+            system, eq = (two_axis_and_load_system() if case == "two_axis_load"
+                          else twelve_bus_system())
             bus = next(i for i, dev in enumerate(system.devices) if dev.kind == "two_axis")
             x0 = perturbed_state(eq, bus, 0.05)
         else:
@@ -140,6 +161,21 @@ class TestReferenceEquality:
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
         assert (traj.truncated, traj.diagnostic) == (ref.truncated, ref.diagnostic)
         assert traj.truncated == (case == "truncated")
+
+
+    def test_power_once_per_converged_source(self, monkeypatch):
+        # the fixture's three sources: the residual post-check and the state derivative
+        # share each converged source's (P, Q)
+        system, eq = fixture_system(None)
+        solves, powers = [], []
+        newton, power = simulation._voltage_newton, devices._Source.power
+        monkeypatch.setattr(simulation, "_voltage_newton",
+                            lambda *args: solves.append(args) or newton(*args))
+        monkeypatch.setattr(devices._Source, "power",
+                            lambda src: powers.append(src) or power(src))
+        simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=5e-4, t_end=0.005)
+        assert len(solves) == 4 * 10 + 1
+        assert len(powers) == len(set(map(id, powers))) == 3 * len(solves)
 
 
 class TestSimulate:
