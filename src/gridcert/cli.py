@@ -127,13 +127,15 @@ def cmd_simulate(args):
 
     buf = _output(args, "t,bus,theta,V,P,Q,delta,omega,E_q,E_d,W\n")
     slices = cfg.system.state_slices()
-    # rows as Python floats, which format like numpy's and skip its scalar arithmetic
-    for t, x, v, W in zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.W.tolist()):
+    # rows as Python floats, which format like numpy's and skip its scalar arithmetic; each
+    # device's (P, Q) is the one the row's voltage solve formed
+    rows = zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist(), traj.powers.tolist(),
+               traj.W.tolist())
+    for t, x, v, powers, W in rows:
         t_text, W_text = _fmt(t), _fmt(W)
-        for i, dev in enumerate(cfg.system.devices):
+        for i, (dev, (P, Q)) in enumerate(zip(cfg.system.devices, powers)):
             theta_i, V_i = v[2 * i], v[2 * i + 1]
             state = x[slices[i]]
-            P, Q = dev.output_power(state, theta_i, V_i, eq.setpoints[i])
             cells = {"delta": "", "omega": "", "E_q": "", "E_d": ""}
             for name, value in zip(dev.state_names, state):
                 cells[name] = _fmt(value)

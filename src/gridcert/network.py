@@ -14,6 +14,9 @@ gradient of the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j)
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,19 +133,104 @@ class Network:
 
 
 def _angle_terms(theta, V, B):
-    """cos(D), sin(D) and W = B * V V^T with D_ij = theta_i - theta_j; formed nowhere else."""
+    """cos(D), sin(D) and W = B * V V^T with D_ij = theta_i - theta_j.
+
+    Formed nowhere else but in `_float_network`, the same terms on Python floats.
+    """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
     D = np.subtract.outer(theta, theta)
     return np.cos(D), np.sin(D, out=D), B * np.multiply.outer(V, V)  # sin reuses D once cos has read it
 
 
+def _float_network(theta, V, B):
+    """`_balance(*_angle_terms(theta, V, B))` and those terms, on Python floats.
+
+    `theta` and `V` are lists and `B` the susceptance matrix as a list of
+    rows. Returns the lists P and Q, and the terms (C, S, W) as lists of rows
+    for `_float_hessian`. Each product takes the operands of the array
+    kernel, and each row is summed left to right from +0.0. numpy sums a row
+    of fewer than 8 entries the same way (longer rows in pairwise blocks), so
+    below 8 buses this equals the array kernel bit for bit.
+    """
+    C, S, W, P, Q = [], [], [], [], []
+    for th_i, V_i, B_i in zip(theta, V, B):
+        C_i, S_i, W_i = [], [], []
+        p = q = 0.0
+        for th_j, V_j, b in zip(theta, V, B_i):
+            d = th_i - th_j
+            c, s, w = math.cos(d), math.sin(d), b * (V_i * V_j)
+            p += s * w
+            q += c * w
+            C_i.append(c)
+            S_i.append(s)
+            W_i.append(w)
+        C.append(C_i)
+        S.append(S_i)
+        W.append(W_i)
+        P.append(p)
+        Q.append(-q)
+    return P, Q, (C, S, W)
+
+
+def _float_hessian(V, terms, B, blocks):
+    """`network_hessian` plus a block on each bus's diagonal, from `_float_network`'s terms.
+
+    `V` is a list and `blocks` holds each bus's (h_tt, h_tV, h_VV), added to
+    its (theta, theta), both (theta, V) and its (V, V) entry. The network
+    entries take the products and row sums of `_hessian_blocks` in its
+    order, and each block entry is added to a finished network entry, so
+    below 8 buses this equals `network_hessian(theta, V, B, terms)` with the
+    blocks added bit for bit. Returns the 2N x 2N array.
+    """
+    C, S, W = terms
+    n = len(V)
+    tt, tv, vv = [], [], []  # the three N x N blocks, row by row
+    for i, (C_i, S_i, W_i, B_i, V_i, (h_tt, h_tV, h_VV)) in enumerate(zip(C, S, W, B, V, blocks)):
+        start = len(tt)
+        tv_sum = 0.0
+        for c, s, w, b, V_j in zip(C_i, S_i, W_i, B_i, V):
+            bs = b * s
+            tt.append(-w * c)
+            tv.append(bs * V_i)
+            vv.append(-b * c)
+            tv_sum += bs * V_j
+        diag = start + i
+        tt[diag] = 0.0
+        tt_sum = 0.0
+        for h in tt[start:start + n]:
+            tt_sum += h
+        tt[diag] = -tt_sum + h_tt
+        tv[diag] = tv_sum + h_tV
+        vv[diag] = -B_i[i] + h_VV
+    return np.array(_interleaved(n)(tt + tv + vv)).reshape(2 * n, 2 * n)
+
+
+@functools.cache
+def _interleaved(n):
+    """Getter from the Hessian's three N x N blocks to its 2N x 2N interleaved entries.
+
+    It takes the (theta, theta), (theta, V) and (V, V) blocks laid end to
+    end, each row-major, and returns the entries over interleaved
+    (theta_i, V_i) row by row.
+    """
+    nn = n * n
+    order = []
+    for i in range(n):
+        for j in range(n):
+            order += (i * n + j, nn + i * n + j)
+        for j in range(n):
+            order += (nn + j * n + i, 2 * nn + i * n + j)
+    return operator.itemgetter(*order)
+
+
 def power_balance(theta, V, net):
     """Evaluate the lossless power balance at every bus.
 
     Returns (P, Q) arrays at the buses of Network `net`.
-    The angle terms go through `_balance`, the one (P, Q) reduction that the
-    power flow and the simulator also use, so all three agree bit for bit.
+    The angle terms go through `_balance`, the one (P, Q) reduction on arrays,
+    which the power flow and the simulator also use, so all three agree bit
+    for bit; below 8 buses the simulator's `_float_network` equals it.
     """
     return _balance(*_angle_terms(theta, V, net.B))
 

@@ -5,19 +5,26 @@ Semi-explicit index-1 treatment, the partitioned scheme of Stott (Proc. IEEE
 bus voltages (theta_i, V_i) are re-solved by Newton at every stage so that
 device outputs match the network power balance.
 
-Each Newton iterate is evaluated once: one pass of the network's angle terms
-and one voltage source per device give the energy gradient and, while the
-iterate has not converged, the voltage Hessian. On a few buses an iterate
-costs numpy calls rather than arithmetic, so the feasibility check, the
-device sources, the gradient and the convergence test run on Python floats,
-and each device adds its (theta, V) block into the network Hessian as four
-scalars. At the converged iterate the same network (P, Q) and sources give
-the residual post-check, with each source's (P, Q) formed once, and the
-stage's state derivative. The solve that ends an RK4 step is at the next
-step's starting point, so it also supplies that step's first stage and the
-Bregman storage recorded for the step. Python floats and numpy scalars round
-alike, and each array product, row sum and `np.dot` takes the operands of
-the per-piece evaluation, so trajectories do not change by a bit.
+Each Newton iterate is evaluated once: one network evaluation and one
+voltage source per device give the energy gradient and, while the iterate
+has not converged, the voltage Hessian. On a few buses an iterate costs
+numpy calls rather than arithmetic, so the feasibility check, the device
+sources, the gradient and the convergence test run on Python floats, and
+each device adds its (theta, V) block into the network Hessian as four
+scalars. Below 8 buses the network's (P, Q) and Hessian run on Python floats
+too (`network._float_network`, `network._float_hessian`): numpy sums a row
+of fewer than 8 entries left to right from +0.0, as those loops do, and
+from 8 buses on it sums in pairwise blocks, so there the array kernel stays.
+At the converged iterate the same network (P, Q) and sources give the
+residual post-check, with each source's (P, Q) formed once, and the stage's
+state derivative. Each solve returns its last network evaluation with its
+voltages; the next stage starts from those voltages, so it takes that
+evaluation for its first iterate. The solve that ends an RK4 step is at the
+next step's starting point, so it also supplies that step's first stage,
+the Bregman storage recorded for the step and each device's (P, Q) in
+`Trajectory.powers`. Python floats and numpy scalars round alike, and each
+product, row sum and `np.dot` takes the operands of the per-piece
+evaluation, so trajectories do not change by a bit.
 
 Along trajectories the total Bregman storage (relative to a chosen
 equilibrium) is tracked; for exact solutions it decays at the analytic
@@ -34,7 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _angle_terms, _balance, network_hessian, power_balance
+from .network import (
+    _angle_terms,
+    _balance,
+    _float_hessian,
+    _float_network,
+    network_hessian,
+    power_balance,
+)
 from .system import Equilibrium, PowerSystem
 
 __all__ = [
@@ -62,32 +76,75 @@ def _split_states(x, slices):
 
 
 def _mismatch(powers, P_net, Q_net):
-    """Infinity norm of the (P, Q) mismatch between device outputs and network balance."""
-    worst = 0.0
-    for i, (P, Q) in enumerate(powers):
-        worst = max(worst, abs(P - P_net[i]), abs(Q - Q_net[i]))
-    return worst
+    """Infinity norm of the (P, Q) mismatch between device outputs and network balance.
+
+    NaN when any entry is NaN, which Python's `max` would skip unless it came first.
+    """
+    gaps = [abs(x - x_net) for (P, Q), P_i, Q_i in zip(powers, P_net, Q_net)
+            for x, x_net in ((P, P_i), (Q, Q_i))]
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
 
-def _voltage_newton(system, states, v_guess, setpoints):
+_FLOAT_BUSES = 8  # numpy sums a row of fewer entries left to right, as `_float_network` does
+
+
+def _network_kernel(B):
+    """The voltage Newton's network evaluation for susceptance matrix `B`.
+
+    Returns `evaluate(v, values)`, which takes the interleaved voltages as an
+    array and as a list. It gives the network's P and Q as lists, and a
+    function that takes each bus's device block (h_tt, h_tV, h_VV) and
+    returns the 2N x 2N voltage Hessian at the same voltages: the network's,
+    with each block added into its bus's diagonal. Below 8 buses both run
+    on Python floats, which equal the array kernel there bit for bit and
+    skip numpy's call overhead; from 8 buses on the array kernel is the only
+    bit-identical one.
+    """
+    if B.shape[0] < _FLOAT_BUSES:
+        rows = B.tolist()
+
+        def evaluate(v, values):
+            V = values[1::2]
+            P, Q, terms = _float_network(values[0::2], V, rows)
+            return P, Q, lambda blocks: _float_hessian(V, terms, rows, blocks)
+    else:
+        def evaluate(v, values):
+            theta, V = v[0::2], v[1::2]
+            terms = _angle_terms(theta, V, B)
+            P, Q = _balance(*terms)
+            return P.tolist(), Q.tolist(), lambda blocks: _add_blocks(
+                network_hessian(theta, V, B, terms), blocks)
+    return evaluate
+
+
+def _add_blocks(H, blocks):
+    """`H` with each bus's (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block."""
+    for j, (h_tt, h_tV, h_VV) in zip(range(0, H.shape[0], 2), blocks):
+        H[j, j] += h_tt
+        H[j, j + 1] += h_tV
+        H[j + 1, j] += h_tV
+        H[j + 1, j + 1] += h_VV
+    return H
+
+
+def _voltage_newton(system, states, setpoints, v_guess, network=None):
     """`solve_bus_voltages` on per-device `states`.
 
-    Also returns the network's Q and each device's source and (P, Q) at the
-    solution.
+    `network` is the network evaluation at `v_guess` that an earlier solve
+    ended with, when there is one; it stands in for the first iterate's.
+    Also returns the network's Q, each device's source and (P, Q), and the
+    network evaluation, all at the solution.
     """
-    B = system.net.B
-    blocks = range(0, 2 * system.n_bus, 2)
+    evaluate = _network_kernel(system.net.B)
     v = np.array(v_guess, dtype=float)
     for _ in range(_NEWTON_MAX_ITER):
         values = v.tolist()
         V_l = values[1::2]
         if min(V_l) <= 0 or not all(map(math.isfinite, values)):
             raise AlgebraicSolveError("bus voltage iterate left the feasible region")
-        theta = v[0::2]
-        V = v[1::2]
-        terms = _angle_terms(theta, V, B)
-        P_net, Q_net = _balance(*terms)
-        P_l, Q_l = P_net.tolist(), Q_net.tolist()
+        if network is None:
+            network = evaluate(v, values)
+        P_l, Q_l, hessian = network
         sources = [dev._source(states[i], values[2 * i], V_l[i], setpoints[i])
                    for i, dev in enumerate(system.devices)]
         # gradient of the total energy over interleaved (theta, V)
@@ -97,18 +154,13 @@ def _voltage_newton(system, states, v_guess, setpoints):
             g += (P + g_theta, Q / V_i + g_V)
         if all(abs(g_i) <= 0.1 * _NEWTON_TOL for g_i in g):  # a NaN never passes, unlike max()'s
             break
-        H = network_hessian(theta, V, B, terms)
-        for j, src in zip(blocks, sources):
-            h_tt, h_tV, h_VV = src.bus_block()  # a load adds its zeros too: -0.0 turns +0.0
-            H[j, j] += h_tt
-            H[j, j + 1] += h_tV
-            H[j + 1, j] += h_tV
-            H[j + 1, j + 1] += h_VV
+        H = hessian([src.bus_block() for src in sources])  # a load adds zeros: -0.0 turns +0.0
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
             raise AlgebraicSolveError("singular voltage Jacobian") from exc
         v = v - step
+        network = None
     else:
         raise AlgebraicSolveError(
             f"voltage Newton did not converge in {_NEWTON_MAX_ITER} iterations "
@@ -116,9 +168,9 @@ def _voltage_newton(system, states, v_guess, setpoints):
         )
     powers = [src.power() for src in sources]
     res = _mismatch(powers, P_l, Q_l)
-    if res > _NEWTON_TOL:
+    if not res <= _NEWTON_TOL:  # a NaN residual fails too
         raise AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {_NEWTON_TOL:.1e}")
-    return v, Q_net, sources, powers
+    return v, Q_l, sources, powers, network
 
 
 def algebraic_residual(system, x, v, setpoints):
@@ -143,7 +195,7 @@ def solve_bus_voltages(system, x, v_guess, setpoints):
     not converge or the (P, Q) mismatch at the solution exceeds 1e-10;
     simulate() treats this as a step rejection.
     """
-    return _voltage_newton(system, _split_states(x, system.state_slices()), v_guess, setpoints)[0]
+    return _voltage_newton(system, _split_states(x, system.state_slices()), setpoints, v_guess)[0]
 
 
 def _storage(system, eq: Equilibrium):
@@ -168,7 +220,7 @@ def _storage(system, eq: Equilibrium):
 
     def storage(states, v, Q_net, sources):
         # the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j) is sum(Q)/2
-        W = 0.5 * float(Q_net.sum() - Q_sum_s)
+        W = 0.5 * float(np.sum(Q_net) - Q_sum_s)
         W -= float(np.dot(eq.flow.P, v[0::2] - theta_s) + np.dot(dV_s, v[1::2] - V_s))
         dv = [a - b for a, b in zip(v.tolist(), v_s)]
         for i, ((dev, xs, U_s, gs), state, src) in enumerate(zip(device_s, states, sources)):
@@ -214,14 +266,16 @@ class Trajectory:
     """States of one simulation run: the start, then one row per integration step.
 
     x rows are concatenated device states, v rows interleaved (theta, V),
-    W the Bregman storage per sample. `diagnostic` is set when the run was
-    truncated by an algebraic solve failure.
+    W the Bregman storage per sample. `powers[k, i]` is device i's (P, Q)
+    at row k, from the voltage solve behind that row. `diagnostic` is set
+    when the run was truncated by an algebraic solve failure.
     """
 
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
     W: np.ndarray
+    powers: np.ndarray | None = field(default=None, repr=False)
     truncated: bool = False
     diagnostic: str | None = None
     system: PowerSystem | None = field(default=None, repr=False)
@@ -282,42 +336,51 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     storage = _storage(system, eq)
     x = np.array(x0 if x0 is not None else eq.x(), dtype=float)
 
-    def rhs(x_stage, v_warm):
-        """State derivative at `x_stage`, the bus voltages solved there and the storage's pieces."""
+    def rhs(x_stage, start):
+        """State derivative at `x_stage`, and the voltage solve there.
+
+        `start` holds the voltages to start from and, where an earlier solve
+        ended at them, that solve's network evaluation; the solve returns
+        the same pair for the next stage.
+        """
         states = _split_states(x_stage, slices)
-        v_stage, Q_net, sources, powers = _voltage_newton(system, states, v_warm, setpoints)
+        v_stage, Q_net, sources, powers, network = _voltage_newton(system, states, setpoints,
+                                                                   *start)
         parts = [dev._state_derivative(state, src, P, sp, system.omega0)
                  for dev, state, src, (P, _), sp in zip(system.devices, states, sources, powers,
                                                         setpoints)]
         deriv = np.concatenate(parts) if parts else np.zeros(0)
-        return deriv, v_stage, (states, v_stage, Q_net, sources)
+        return deriv, (v_stage, network), (states, v_stage, Q_net, sources), powers
 
-    k1, v, solved = rhs(x, eq.v())
+    k1, start, solved, powers = rhs(x, (eq.v(),))
 
     xs = [x]
-    vs = [v]
+    vs = [start[0]]
     Ws = [storage(*solved)]
+    Ps = [powers]
     diagnostic = None
 
     for k in range(n_steps):
         try:
-            k2, v2, _ = rhs(x + 0.5 * dt * k1, v)
-            k3, v3, _ = rhs(x + 0.5 * dt * k2, v2)
-            k4, v4, _ = rhs(x + dt * k3, v3)
+            k2, start, _, _ = rhs(x + 0.5 * dt * k1, start)
+            k3, start, _, _ = rhs(x + 0.5 * dt * k2, start)
+            k4, start, _, _ = rhs(x + dt * k3, start)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1, v, solved = rhs(x, v4)  # the next step's first stage, and its storage
+            k1, start, solved, powers = rhs(x, start)  # the next step's first stage, and its row
         except AlgebraicSolveError as exc:
             diagnostic = f"truncated at t={k * dt:.6g}s: {exc}"  # the time of the last row
             break
         xs.append(x)
-        vs.append(v)
+        vs.append(start[0])
         Ws.append(storage(*solved))
+        Ps.append(powers)
 
     return Trajectory(
         t=np.arange(len(xs)) * dt,  # row k is step k
         x=np.array(xs),
         v=np.array(vs),
         W=np.array(Ws),
+        powers=np.array(Ps),
         truncated=diagnostic is not None,
         diagnostic=diagnostic,
         system=system,

@@ -266,7 +266,7 @@ def solve_bus_voltages_reference(system, x, v_guess, setpoints):
             f"(residual {np.max(np.abs(g)):.3e})"
         )
     res = algebraic_residual(system, x, v, setpoints)
-    if res > tol:
+    if not res <= tol:
         raise gc.AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {tol:.1e}")
     return v
 

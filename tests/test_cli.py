@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import cli
+from gridcert import cli, devices
 from gridcert.cli import main
 
 from _oracles import TABLE1, random_system, sweep_point, three_bus_doc, voltage_regular
@@ -262,6 +262,18 @@ class TestSimulate:
                 assert r[8] == "" and r[9] == ""
         t = np.array([float(r[0]) for r in rows[::3]])
         assert np.all(np.diff(t) > 0)
+
+    def test_rows_print_the_solved_powers(self, capsys, monkeypatch):
+        # each row's (P, Q) comes from the voltage solve behind it, not from a second evaluation
+        calls = []
+        output_power = devices.Device.output_power
+        monkeypatch.setattr(devices.Device, "output_power",
+                            lambda *args: calls.append(args) or output_power(*args))
+        code, out, _ = run(capsys, ["simulate", "--config", FIXTURE, "--dt", "1e-3",
+                                    "--t-end", "0.01", "--no-timestamp"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 11 * 3
+        assert calls == []
 
     def test_stationary_state_failure_exits_2(self, capsys, tmp_path):
         path = write_config(tmp_path, three_bus_doc(x3=STATIONARY_FAILURE_X3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import network
+from gridcert import network, simulation
 from gridcert.network import PQ, PV, Line, Network, PowerFlowError, Slack
 
 from _oracles import (
@@ -203,6 +203,78 @@ def test_hessian_kernels_equal_the_reference_formula(n):
         assert np.array_equal(gc.network_hessian(theta, V, B, terms).view(np.uint64), want)
     assert np.array_equal(gc.power_flow_jacobian(theta, V, B).view(np.uint64),
                           power_flow_jacobian_reference(theta, V, B).view(np.uint64))
+
+
+def _kernel_points(rng, n):
+    """Susceptance matrices and interleaved voltages at n buses where signed zeros matter.
+
+    Besides a random meshed B with zero entries off its lines, B = 0 (whose
+    diagonal's negation is -0.0); besides random angles, equal angles (every
+    sine +0.0) and angles of +0.0 and -0.0, whose differences are signed zeros.
+    """
+    lines = [Line(int(rng.integers(0, j)), j, float(rng.uniform(2.0, 40.0))) for j in range(1, n)]
+    lines += [Line(int(i), int(j), float(rng.uniform(2.0, 40.0)))
+              for i, j in (rng.choice(n, size=2, replace=False) for _ in range(n // 3))]
+    V = rng.uniform(0.9, 1.1, n)
+    for B in (gc.build_susceptance(n, lines), np.zeros((n, n))):
+        for theta in (rng.uniform(-0.5, 0.5, n), np.full(n, 0.3), rng.choice([0.0, -0.0], n)):
+            v = np.empty(2 * n)
+            v[0::2], v[1::2] = theta, V
+            yield B, v
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simulator_network_kernel_equals_the_array_kernel(n, monkeypatch):
+    # below 8 buses the voltage Newton's network terms are Python floats, from 8 on numpy
+    # arrays; both must give power_balance and network_hessian plus the device blocks, signs
+    # of zeros included
+    rng = np.random.default_rng(100 + n)
+    array_builds = []
+    monkeypatch.setattr(simulation, "network_hessian",
+                        lambda *args: array_builds.append(n) or gc.network_hessian(*args))
+    for B, v in _kernel_points(rng, n):
+        theta, V = v[0::2], v[1::2]
+        # per bus a random block, a load's (zeros but for (V, V)) or zeros
+        blocks = [rng.choice([rng.normal(size=3), [0.0, 0.0, rng.normal()], [0.0] * 3]).tolist()
+                  for _ in range(n)]
+        P, Q, hessian = simulation._network_kernel(B)(v, v.tolist())
+        H = gc.network_hessian(theta, V, B)
+        for j, (h_tt, h_tV, h_VV) in zip(range(0, 2 * n, 2), blocks):
+            H[j, j] += h_tt
+            H[j, j + 1] += h_tV
+            H[j + 1, j] += h_tV
+            H[j + 1, j + 1] += h_VV
+        P_array, Q_array = gc.power_balance(theta, V, Network(n, B))
+        for got, want in zip((P, Q, hessian(blocks)), (P_array, Q_array, H)):
+            assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+    assert bool(array_builds) == (n >= 8)
+
+
+def test_numpy_rounds_like_the_float_kernel():
+    # the float kernel's two premises about numpy, each failure naming the one that broke
+    rng = np.random.default_rng(12)
+    for k in range(1, 8):
+        A = rng.normal(size=(200, k)) * 10.0 ** rng.integers(-6, 7, size=(200, k))
+        strided = np.empty((200, 2 * k))
+        strided[:, 0::2] = A  # the layout of network_hessian's (theta, theta) view
+        want = []
+        for row in A.tolist():
+            acc = 0.0
+            for a in row:
+                acc += a
+            want.append(acc)
+        for got in (A.sum(axis=1), strided[:, 0::2].sum(axis=1)):
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64)), \
+                f"numpy no longer sums a row of {k} entries left to right"
+        assert math.copysign(1.0, np.full((1, k), -0.0).sum(axis=1)[0]) == 1.0, \
+            f"numpy no longer starts a row sum of {k} entries from +0.0"
+    theta = np.concatenate([rng.uniform(-math.pi, math.pi, 150), rng.uniform(-1e3, 1e3, 50),
+                            [0.0, -0.0]])
+    D = np.subtract.outer(theta, theta).ravel()
+    for np_f, math_f in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np.array(list(map(math_f, D.tolist())))
+        assert np.array_equal(np_f(D).view(np.uint64), want.view(np.uint64)), \
+            f"np.{np_f.__name__} no longer equals math.{math_f.__name__}"
 
 
 def test_solve_zero_injections_flat():

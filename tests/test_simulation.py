@@ -97,13 +97,28 @@ def twelve_bus_system():
     return system, system.equilibrium(flow)
 
 
+def random_bus_system(n_bus):
+    """First random draw at `n_bus` buses holding a two-axis machine."""
+    rng = np.random.default_rng(0)
+    while True:
+        draw = random_system(rng, n_bus=n_bus)
+        if draw is not None and any(dev.kind == "two_axis" for dev in draw[0].devices):
+            system, flow = draw
+            return system, system.equilibrium(flow)
+
+
+# the voltage Newton's last bus count on Python floats and its first on numpy arrays
+BOUNDARY_SYSTEMS = {"seven_bus": 7, "eight_bus": 8}
+
+
 class TestReferenceEquality:
     """The simulator equals the per-stage reference loops bit for bit."""
 
-    @pytest.mark.parametrize("mode", ["forming", "following"])
-    def test_voltage_solve_equals_reference(self, mode):
+    @pytest.mark.parametrize("case", ["forming", "following", *BOUNDARY_SYSTEMS])
+    def test_voltage_solve_equals_reference(self, case):
         rng = np.random.default_rng(7)
-        system, eq = fixture_system(mode)
+        system, eq = (random_bus_system(BOUNDARY_SYSTEMS[case]) if case in BOUNDARY_SYSTEMS
+                      else fixture_system(case))
         for _ in range(5):
             x = eq.x() + rng.normal(0, 0.02, system.n_states)
             v = solve_bus_voltages(system, x, eq.v(), eq.setpoints)
@@ -139,16 +154,17 @@ class TestReferenceEquality:
                 solve(system, eq.x(), eq.v(), eq.setpoints)
 
     @pytest.mark.parametrize("case", ["forming", "following", "two_axis_load", "twelve_bus",
-                                      "truncated"])
-    def test_trajectory_equals_reference(self, case):
+                                      *BOUNDARY_SYSTEMS, "truncated"])
+    def test_trajectory_equals_reference(self, case, monkeypatch):
         kwargs = dict(dt=1e-3, t_end=0.1)
         if case in ("forming", "following"):
             system, eq = fixture_system(case)
             x0 = perturbed_state(eq, 0, 0.05)
-        elif case in ("two_axis_load", "twelve_bus"):
+        elif case != "truncated":
             # twelve buses hold every device kind, and their rows reach numpy's pairwise sums
             system, eq = (two_axis_and_load_system() if case == "two_axis_load"
-                          else twelve_bus_system())
+                          else twelve_bus_system() if case == "twelve_bus"
+                          else random_bus_system(BOUNDARY_SYSTEMS[case]))
             bus = next(i for i, dev in enumerate(system.devices) if dev.kind == "two_axis")
             x0 = perturbed_state(eq, bus, 0.05)
         else:
@@ -156,12 +172,38 @@ class TestReferenceEquality:
             x0 = perturbed_state(eq, 2, 0.05)
             kwargs.update(dt=5e-3, t_end=4.0)
         traj = simulate(system, eq, x0=x0, **kwargs)
+        # the reference loop's voltage solves, too, evaluate each piece on its own
+        monkeypatch.setattr(gc, "solve_bus_voltages", solve_bus_voltages_reference)
         ref = simulate_reference(system, eq, x0=x0, **kwargs)
         for name in ("t", "x", "v", "W"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
         assert (traj.truncated, traj.diagnostic) == (ref.truncated, ref.diagnostic)
         assert traj.truncated == (case == "truncated")
 
+    @pytest.mark.parametrize("case", ["following", "twelve_bus"])
+    def test_row_powers_equal_output_power(self, case):
+        # each row's device (P, Q), as the CLI prints it, is `output_power` at that row
+        system, eq = fixture_system(case) if case == "following" else twelve_bus_system()
+        bus = next(i for i, dev in enumerate(system.devices) if dev.kind == "two_axis")
+        traj = simulate(system, eq, x0=perturbed_state(eq, bus, 0.05), dt=1e-3, t_end=0.02)
+        slices = system.state_slices()
+        want = [[dev.output_power(x[sl], v[2 * i], v[2 * i + 1], sp)
+                 for i, (dev, sl, sp) in enumerate(zip(system.devices, slices, eq.setpoints))]
+                for x, v in zip(traj.x.tolist(), traj.v.tolist())]
+        assert np.array_equal(traj.powers.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_nan_mismatch_is_a_nan_residual(self, monkeypatch):
+        # Python's max() over the mismatches would skip a NaN that is not its first argument
+        system, eq = fixture_system(None)
+        x = eq.x()
+        x[0] = math.nan  # bus 1's rotor angle
+        assert math.isnan(algebraic_residual(system, x, eq.v(), eq.setpoints))
+        # the load's gradient stays finite, so the Newton converges; its power does not
+        system, eq = fixture_system("following")
+        monkeypatch.setattr(devices._ConstantPower, "power", lambda self: (math.nan, self.Q))
+        for solve in (solve_bus_voltages, solve_bus_voltages_reference):
+            with pytest.raises(AlgebraicSolveError, match="voltage solve residual nan exceeds"):
+                solve(system, eq.x(), eq.v(), eq.setpoints)
 
     def test_power_once_per_converged_source(self, monkeypatch):
         # the fixture's three sources: the residual post-check and the state derivative
