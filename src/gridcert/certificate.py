@@ -13,7 +13,7 @@ Verdicts are stable / unstable / marginal; the rotational zero mode is
 deflated by projection before the eigenvalue test so it cannot mask genuine
 negative modes. Each decision of the test is made by one kernel on a stack of
 points, which `certify` runs on a stack of one and the reactance sweep on a
-grid row. A kernel raises if it rejects any point of its stack, as numpy's
+stack of grid points. A kernel raises if it rejects any point of its stack, as numpy's
 LAPACK wrappers do; non-finite closed forms are rejected before LAPACK.
 """
 

@@ -22,7 +22,7 @@ from .config import ConfigError, apply_load_mode, load_config
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
 from .simulation import AlgebraicSolveError, simulate
-from .sweep import sweep_verdicts
+from .sweep import sweep_each
 
 __all__ = ["main"]
 
@@ -174,9 +174,9 @@ def cmd_sweep(args):
     flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
     buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
     text = {x: _fmt(x) for x in (*xd_values, *xq_values)}  # each grid value formatted once
-    for mode, system in zip(modes, systems):
-        for x_d, x_q, v_cert, v_eig, min_eig in sweep_verdicts(
-                system, flow, bus_index, xd_values, xq_values):
+    # one evaluation of what the flow alone fixes serves both modes
+    for mode, points in zip(modes, sweep_each(systems, flow, bus_index, xd_values, xq_values)):
+        for x_d, x_q, v_cert, v_eig, min_eig in points:
             min_eig = _fmt(min_eig) if min_eig is not None else ""
             buf.write(f"{text[x_d]},{text[x_q]},{mode},{v_cert},{v_eig},{min_eig}\n")
     _emit(buf.getvalue(), args.out)

@@ -48,12 +48,12 @@ OMEGA0_DEFAULT = 2 * math.pi * 60.0
 
 _STATIONARY_TOL = 1e-10
 
-# The closed forms below take floats, or the arrays of a reactance sweep's grid row, and give
-# an array the bits of the float code at each element. numpy's cos and sin match libm's bit for
-# bit; its arctan and its squares (x*x) do not, so those go through libm's atan and pow
-# (Python's float x**2) element by element. A float takes the scalar code behind one class
-# test, the cheapest dispatch: the simulator's inner loop and every device of a 500-bus config
-# pass floats, where a numpy call would cost microseconds.
+# The closed forms below take floats, or the arrays of a reactance sweep's stack of grid
+# points, and give an array the bits of the float code at each element. numpy's cos and sin
+# match libm's bit for bit; its arctan and its squares (x*x) do not, so those go through libm's
+# atan and pow (Python's float x**2) element by element. A float takes the scalar code behind
+# one class test, the cheapest dispatch: the simulator's inner loop and every device of a
+# 500-bus config pass floats, where a numpy call would cost microseconds.
 def _libm(f, x, *args):
     """f(element, *args) for each element of the array x, through Python floats."""
     values = map(f, x.ravel().tolist(), *(repeat(a) for a in args))
@@ -174,7 +174,7 @@ class _Source:
     voltage Newton takes its gradient, Hessian block, residual, the state
     derivative and the storage from one source per device and iterate.
     Phasor, currents, power and second derivatives are elementwise over a
-    sweep row's arrays.
+    sweep stack's arrays.
     """
 
     __slots__ = ("E_q", "E_d", "x_d", "x_q", "c", "s", "vq", "vd", "I_d", "I_q",
@@ -234,7 +234,7 @@ class _Source:
 
         Delta is the first coordinate, theta and V the last two; entries for
         any coordinates in between are left zero. A (..., size, size) stack
-        over a row.
+        over a stack of devices.
         """
         h_dd, h_dV, h_VV = self.second_derivatives()
         H = np.zeros(np.shape(h_dd) + (size, size))
@@ -274,7 +274,7 @@ class Device:
     State vectors are 1-d arrays ordered as `state_names`; energy gradients
     and Hessians are over (states..., theta, V).
 
-    A device whose X_d and X_q are arrays (`with_reactances`) is a row of
+    A device whose X_d and X_q are arrays (`with_reactances`) is a stack of
     devices: its stationary setpoint, state and residual, energy Hessian and
     damping block are evaluated elementwise. States then hold one column per
     device, and Hessian and damping blocks come as (..., k, k) stacks.
@@ -304,7 +304,7 @@ class Device:
         return ok
 
     def with_reactances(self, X_d, X_q):
-        """This device with its synchronous reactances replaced; arrays give a row of devices."""
+        """This device with its synchronous reactances replaced; arrays give a stack of devices."""
         return replace(self, X_d=X_d, X_q=X_q)
 
     @property

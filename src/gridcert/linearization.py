@@ -10,8 +10,8 @@ stability is decided from the spectrum of the reduced state matrix
 where R collects per-device damping/interconnection blocks. A carries exactly
 one structural zero eigenvalue (the uniform rotation of all angles). Each step
 of the oracle is one kernel on a stack of matrices, which `eigenvalue_verdict`
-runs on a stack of one and the reactance sweep on a grid row. A kernel raises
-if it rejects any matrix of its stack, as numpy's LAPACK wrappers do; a
+runs on a stack of one and the reactance sweep on a stack of grid points. A
+kernel raises if it rejects any matrix of its stack, as numpy's LAPACK wrappers do; a
 non-finite algebraic block is rejected before LAPACK sees it.
 """
 

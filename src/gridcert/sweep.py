@@ -1,19 +1,26 @@
 """Batched reactance sweep: both stability verdicts over an (X_d, X_q) grid at one bus.
 
-Between grid points only the swept bus's device changes, so the balance
-check, the network Hessian and the other buses' coefficients, stiffness and
-energy blocks are computed once per system and flow (`_FlowInvariants`).
-Each X_d row of the grid is one row of swept devices: their closed forms are
-evaluated once, over arrays of the row's points, and the row goes as one
-stack through the kernels that `certify` and `eigenvalue_verdict` run on a
-stack of one, so every point's verdicts and `min_eig` are those of
-evaluating it on its own. A kernel raises if it rejects any point of its
-stack; the sweep then halves the stack and evaluates each half again, until
-the failing point stands alone and is infeasible in that column. A clean row
-takes one call per kernel.
+Between grid points only the swept bus's device changes. The flow's balance
+check, operating points and network Hessian are computed once per flow, for
+every system swept at it (`_FlowTerms`; the CLI's two load modes share
+one), and each other device's coefficient, stiffness block and energy blocks
+once per device. The grid is walked X_d-major and cut into stacks of at
+most max(1, _STACK_ENTRIES // size**2) points, `size` being the eigen
+oracle's energy-Hessian dimension, so memory stays bounded whatever the
+grid or the system; a stack may cross X_d rows. The swept device's closed
+forms are evaluated once per stack, over arrays of its points, and the
+stack goes through the kernels that `certify` and `eigenvalue_verdict` run
+on a stack of one. LAPACK's stacked calls compute each matrix on its own,
+so every point's verdicts and `min_eig` are those of evaluating it on its
+own, wherever the stacks are cut. A kernel raises if it rejects any point
+of its stack; the sweep then halves the stack and evaluates each half
+again, until the failing point stands alone and is infeasible in that
+column. A clean stack takes one call per kernel.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -41,7 +48,12 @@ from .linearization import (
 )
 from .network import network_hessian
 
-__all__ = ["sweep_verdicts"]
+__all__ = ["sweep_verdicts", "sweep_each"]
+
+#: Matrix entries in one stack of the eigen oracle's energy Hessians. A stack holds at most
+#: max(1, _STACK_ENTRIES // size**2) grid points, `size` being that Hessian's dimension, so each
+#: array of matrices in a stack stays within 512 KiB however large the grid or the system.
+_STACK_ENTRIES = 2**16
 
 
 def sweep_verdicts(system, flow, bus, xd_values, xq_values):
@@ -53,68 +65,129 @@ def sweep_verdicts(system, flow, bus, xd_values, xq_values):
     call behind it would raise, and both are where the device cannot be built.
     A non-positive bus voltage in `flow` raises ValueError.
     """
-    if isinstance(system.devices[bus], ConstantPowerLoad):
+    (points,) = sweep_each([system], flow, bus, xd_values, xq_values)
+    yield from points
+
+
+def sweep_each(systems, flow, bus, xd_values, xq_values):
+    """`sweep_verdicts` of each system in the sequence `systems`, which share one network.
+
+    Yields one generator of points per system, in order. The flow's balance
+    check, operating points and network Hessian are computed once for all of
+    them, and the terms of a device that several systems hold at the same
+    bus once per device.
+    """
+    if any(isinstance(system.devices[bus], ConstantPowerLoad) for system in systems):
         raise ValueError("sweep bus must host a generator or grid-forming inverter")
-    invariants = _FlowInvariants(system, flow, bus)
-    for x_d in xd_values:
-        for x_q, verdicts in zip(xq_values, invariants.row(x_d, xq_values)):
-            yield (x_d, x_q, *verdicts)
+    terms = _FlowTerms(systems[0], flow) if systems else None
+    for system in systems:
+        yield _Sweep(terms, system, bus).points(xd_values, xq_values)
 
 
-class _FlowInvariants:
-    """What the swept device does not change, and the evaluation of one X_d row."""
+class _FlowTerms:
+    """What a flow fixes for every system on its network, and each device's terms at its bus.
 
-    def __init__(self, system, flow, bus):
-        net, n, devices = system.net, system.n_bus, system.devices
+    `ops` is None where the flow fails the certificate's balance check,
+    which makes both verdicts infeasible at every point.
+    """
+
+    def __init__(self, system, flow):
+        self.theta, self.ops = flow.theta, None
+        try:
+            self.residual = _check_balance(system, flow)  # the network's, whatever the devices
+        except CertificateError:
+            return
+        n = system.n_bus
+        self.ops = [system.operating_point(flow, i) for i in range(n)]
+        self.nh = network_hessian(flow.theta, flow.V, system.net.B)
+        self.Z = _complement_basis(structural_null_vector(n))
+        self._devices = {}
+
+    def device(self, i, dev, omega0):
+        """(synchronizing coefficient, stiffness block, energy Hessian and damping block) of
+        `dev` at bus i, computed once per device (devices compare by identity).
+
+        Each is None where the call behind it raises: the coefficient (which a
+        load does not have) and the stiffness block where the device leaves
+        its capability region, the stiffness block also where the coefficient
+        is <= 0, and the Hessian and damping pair where the device has no
+        stationary state.
+        """
+        key = (i, dev, omega0)
+        if key not in self._devices:
+            gamma = block = blocks = None
+            op, theta = self.ops[i], float(self.theta[i])
+            try:
+                if not isinstance(dev, ConstantPowerLoad):
+                    gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
+                block = _stiffness_block(dev, op)
+            except (CertificateError, CapabilityError):
+                pass
+            try:
+                hessian, damping, holds = _device_blocks(dev, theta, op, omega0)
+                blocks = (hessian, damping) if holds else None
+            except ValueError:  # capability, or a load the flow does not match
+                pass
+            self._devices[key] = gamma, block, blocks
+        return self._devices[key]
+
+
+class _Sweep:
+    """What the swept device does not change in one system, and the evaluation of a stack."""
+
+    def __init__(self, terms, system, bus):
+        devices = system.devices
         self.device, self.bus, self.omega0 = devices[bus], bus, system.omega0
-        self.theta = float(flow.theta[bus])
+        # the eigen oracle's energy Hessian is size x size, the condition matrix smaller
+        self.size = system.n_states + 2 * system.n_bus
+        self.certifiable = terms.ops is not None
+        if not self.certifiable:
+            return
+        self.theta, self.op = float(terms.theta[bus]), terms.ops[bus]
+        self.nh, self.Z = terms.nh, terms.Z
+        others = {i: terms.device(i, dev, self.omega0)
+                  for i, dev in enumerate(devices) if i != bus}
         # certificate: each point sets the swept bus's coefficient and stiffness block
         self.gens = [i for i, dev in enumerate(devices) if not isinstance(dev, ConstantPowerLoad)]
-        self.col, self.certifiable = self.gens.index(bus), True
-        try:
-            residual = _check_balance(system, flow)
-            ops = [system.operating_point(flow, i) for i in range(n)]
-            self.gammas = np.array([np.nan if i == bus else synchronizing_coefficient(
-                ops[i], devices[i].X_d, devices[i].X_q) for i in self.gens])
-        except (CertificateError, CapabilityError):
+        self.col = self.gens.index(bus)
+        gammas = [np.nan if i == bus else others[i][0] for i in self.gens]
+        if None in gammas:
             self.certifiable = False
             return
-        self.op, self.Z = ops[bus], _complement_basis(structural_null_vector(n))
-        self.nh = nh = network_hessian(flow.theta, flow.V, net.B)
-        try:
-            self.blocks = np.array([np.zeros((2, 2)) if i == bus else _stiffness_block(dev, ops[i])
-                                    for i, dev in enumerate(devices)])
-        except CertificateError:
-            self.blocks = None  # a coefficient <= 0 decides every point before the matrix
+        self.gammas = np.array(gammas)
+        blocks = [np.zeros((2, 2)) if i == bus else others[i][1] for i in range(len(devices))]
+        # a coefficient <= 0 decides every point before the matrix
+        self.blocks = None if any(b is None for b in blocks) else np.array(blocks)
 
         # eigenvalue oracle: energy Hessian and damping matrix without the swept device
         self.n_x = n_x = system.n_states
         slices = system.state_slices()
         self.states, self.bus_col = slices[bus], n_x + 2 * bus
-        self.H = np.pad(nh, (n_x, 0))  # device states first, then the bus (theta, V) pairs
+        self.H = np.pad(self.nh, (n_x, 0))  # device states first, then the bus (theta, V) pairs
         self.R = np.zeros((n_x, n_x))
-        self.equilibrium = _residual_error(residual) is None
-        for i, dev in enumerate(devices):
-            if i == bus:
-                continue
-            try:
-                hessian, damping, holds = _device_blocks(dev, float(flow.theta[i]), ops[i],
-                                                         self.omega0)
-            except ValueError:  # capability, or a load the flow does not match
-                holds = False
-            if not holds:
-                self.equilibrium = False
-                break
-            _add_device_block(self.H, hessian, slices[i], n_x + 2 * i)
-            self.R[slices[i], slices[i]] = damping
+        self.equilibrium = (_residual_error(terms.residual) is None
+                            and all(pair is not None for _, _, pair in others.values()))
+        if self.equilibrium:
+            for i, (_, _, (hessian, damping)) in others.items():
+                _add_device_block(self.H, hessian, slices[i], n_x + 2 * i)
+                self.R[slices[i], slices[i]] = damping
 
-    def row(self, x_d, xq_values):
-        """(certificate verdict, eigenvalue verdict, min_eig) at each (x_d, x_q)."""
-        n = len(xq_values)
+    def points(self, xd_values, xq_values):
+        """(x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) over the grid, X_d-major,
+        evaluated in stacks of at most max(1, _STACK_ENTRIES // size**2) points."""
+        grid = itertools.product(xd_values, xq_values)
+        per_stack = max(1, _STACK_ENTRIES // self.size**2)
+        while stack := list(itertools.islice(grid, per_stack)):
+            xd, xq = np.array(stack, dtype=float).T
+            for point, verdicts in zip(stack, self.evaluate(xd, xq)):
+                yield (*point, *verdicts)
+
+    def evaluate(self, xd, xq):
+        """(certificate verdict, eigenvalue verdict, min_eig) at each point (xd[k], xq[k])."""
+        n = len(xd)
         out = [np.full(n, value, dtype=object) for value in ("infeasible", "infeasible", None)]
         if not self.certifiable:
             return list(zip(*out))
-        xd, xq = np.full(n, x_d, dtype=float), np.asarray(xq_values, dtype=float)
         # a closed form that overflows is left to the kernels, which reject its point
         with np.errstate(all="ignore"):
             # where the device can be built and has an internal phase; both verdicts stay
@@ -172,7 +245,7 @@ def _settle(out, column, evaluate, points, *stacks):
 
 
 def _device_blocks(dev, theta, op, omega0):
-    """Energy Hessian and damping block of a device, or of a row of devices, at its stationary
+    """Energy Hessian and damping block of a device, or of a stack of devices, at its stationary
     state, and where that state passes `stationary_state`'s check; where it does,
     `assemble_energy_hessian`'s check passes too."""
     setpoint, state, holds, _ = dev.stationary(theta, op, omega0)

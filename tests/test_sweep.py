@@ -1,11 +1,14 @@
 """Batched sweep evaluation against the one-point-at-a-time library calls it replaces.
 
 Byte equality of whole sweeps with the per-point oracle is tested in
-test_cli.py; these tests cover what those grids cannot reach: a stack a
-kernel rejects is halved until the rejected point stands alone, and a clean
-row is evaluated by one stacked call per kernel. The kernels the sweep
-shares with `certify` and `eigenvalue_verdict` are tested beside them, in
-test_certificate.py and test_linearization.py.
+test_cli.py; these tests cover what those grids cannot reach: the verdicts
+do not depend on where the grid is cut into stacks, a stack never holds more
+points than its memory bound allows, a stack a kernel rejects is halved until
+the rejected point stands alone, a clean stack is evaluated by one stacked
+call per kernel, and what the flow alone fixes is computed once for both
+load modes. The kernels the sweep shares with `certify` and
+`eigenvalue_verdict` are tested beside them, in test_certificate.py and
+test_linearization.py.
 """
 
 import dataclasses
@@ -15,12 +18,13 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import certificate, devices
+from gridcert import certificate, cli, devices, sweep
+from gridcert import system as system_module
 from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
 from gridcert.linearization import DegenerateEquilibriumError, _spectrum_verdicts
 from gridcert.sweep import sweep_verdicts
 
-from _oracles import solved, sweep_point, three_bus_doc
+from _oracles import random_system, solved, sweep_point, three_bus_doc
 
 
 @pytest.fixture
@@ -101,7 +105,8 @@ def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, co
 
     monkeypatch.setattr(np.linalg, name, fussy)
     rows = list(sweep_verdicts(cfg.system, flow, 2, *grid))
-    assert sizes == [2, 1, 1, 2]  # the first row, then each of its halves, then the second row
+    # the grid's one stack, its first half, that half's halves, then the second half
+    assert sizes == [4, 2, 1, 1, 2]
     first = list(expected[0])
     first[column] = "infeasible"
     if name == "eigh":
@@ -136,9 +141,9 @@ def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
     assert all(v_cert in ("stable", "unstable") and min_eig for v_cert, _, min_eig in rows)
 
 
-def test_clean_rows_take_one_call_per_kernel(fixture_cfg, monkeypatch):
-    # the benchmark grid: no kernel rejects a point, so no row is evaluated twice, and the
-    # swept device's closed forms are evaluated once per row, over arrays of its points
+def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
+    # the benchmark grid: no kernel rejects a point, so no stack is evaluated twice, and the
+    # swept device's closed forms are evaluated once per stack, over arrays of its points
     calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "internal_phase": 0}
     for name in ("eigh", "eigvalsh", "eigvals"):
         def counting(a, _original=getattr(np.linalg, name), _name=name):
@@ -157,9 +162,76 @@ def test_clean_rows_take_one_call_per_kernel(fixture_cfg, monkeypatch):
         rows = list(sweep_verdicts(cfg.system, solved(cfg), cfg.bus_ids.index(3), grid, grid))
         assert "infeasible" not in {v for row in rows for v in row[2:4]}
     phases = calls.pop("internal_phase")
-    assert calls == {"eigh": 80, "eigvalsh": 80, "eigvals": 80}
-    # 80 rows of 40 points: a handful of calls per row, where one per point would be 3,200
-    assert 80 <= phases <= 8 * 80
+    # 1,600 points per mode: 5 stacks of <= 334 forming points (energy Hessian 14 x 14) and
+    # 4 of <= 455 following points (12 x 12) at 2**16 entries a stack
+    assert sweep._STACK_ENTRIES == 2**16
+    assert calls == {"eigh": 9, "eigvalsh": 9, "eigvals": 9}
+    # a handful of calls per stack, where one per point would be 3,200
+    assert 9 <= phases <= 8 * 9
+
+
+def _cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, per_stack):
+    """The sweep's points with `_STACK_ENTRIES` set so that stacks hold `per_stack` points."""
+    size = cfg.system.n_states + 2 * cfg.system.n_bus
+    monkeypatch.setattr(sweep, "_STACK_ENTRIES", per_stack * size**2)
+    return list(sweep_verdicts(cfg.system, solved(cfg), bus, xd_values, xq_values))
+
+
+@pytest.mark.parametrize("mode", ["forming", "following"])
+def test_stack_cuts_do_not_change_the_sweep(fixture_cfg, monkeypatch, mode):
+    cfg = gc.apply_load_mode(fixture_cfg, mode)
+    bus = cfg.bus_ids.index(3)
+    # X_d = 0 cannot be built; the rest of the grid is stable or unstable in both modes
+    xd_values, xq_values = [0.0, 0.1, 1.0, 3.0, 8.0, 12.0], [0.069, 0.4, 1.0, 1.6, 6.0]
+    # one point a stack, 7 (cutting the 5-point rows mid-row), and the whole grid as one stack
+    one, seven, whole = (_cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, k)
+                         for k in (1, 7, 30))
+    assert one == seven == whole
+    assert [(x_d, x_q) for x_d, x_q, *_ in one] == [(x_d, x_q) for x_d in xd_values
+                                                    for x_q in xq_values]
+    verdicts = {v for row in one for v in row[2:4]}
+    assert verdicts == {"infeasible", "stable", "unstable"}
+    flow = solved(cfg)
+    cells = [(v_cert, v_eig, "" if min_eig is None else f"{min_eig:.12g}")
+             for _, _, v_cert, v_eig, min_eig in one]
+    assert cells == [sweep_point(cfg, flow, bus, x_d, x_q)
+                     for x_d in xd_values for x_q in xq_values]
+    assert _cut_sweeps(monkeypatch, cfg, bus, [], xq_values, 7) == []
+    assert _cut_sweeps(monkeypatch, cfg, bus, xd_values, [], 7) == []
+
+
+def test_stacks_stay_bounded_on_a_large_system(monkeypatch):
+    drawn, flow = random_system(np.random.default_rng(1), n_bus=30)
+    bus = next(i for i, dev in enumerate(drawn.devices)
+               if not isinstance(dev, devices.ConstantPowerLoad))
+    bound = max(1, sweep._STACK_ENTRIES // (drawn.n_states + 2 * drawn.n_bus) ** 2)
+    sizes, eigvals = [], np.linalg.eigvals
+
+    def recording_eigvals(a):
+        sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    dev = drawn.devices[bus]
+    rows = list(sweep_verdicts(drawn, flow, bus, [dev.X_d * s for s in (0.5, 1, 2)],
+                               [dev.X_q * s for s in (0.5, 1, 2, 4)]))
+    assert len(rows) == 12 and bound < 12
+    assert sizes and max(sizes) == bound  # 12 points take several stacks, the first full
+
+
+def test_two_modes_share_the_flow_terms(capsys, monkeypatch):
+    # the balance check's power_balance and the network Hessian serve both load modes
+    calls = {"network_hessian": 0, "power_balance": 0}
+    for module, name in ((sweep, "network_hessian"), (system_module, "power_balance")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    argv = ["sweep", "--config", str(gc.fixture_path("three_bus.json")), "--sweep-bus", "3",
+            "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2", "--no-timestamp"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9  # header, then 4 points per mode
+    assert calls == {"network_hessian": 1, "power_balance": 1}
 
 
 def test_min_eig_equals_certify_bit_for_bit(fixture_cfg):
