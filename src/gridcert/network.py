@@ -135,7 +135,7 @@ class Network:
 def _angle_terms(theta, V, B):
     """cos(D), sin(D) and W = B * V V^T with D_ij = theta_i - theta_j.
 
-    Formed nowhere else but in `_float_network`, the same terms on Python floats.
+    `_float_network` forms the same terms on Python floats, in its one loop.
     """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -143,67 +143,98 @@ def _angle_terms(theta, V, B):
     return np.cos(D), np.sin(D, out=D), B * np.multiply.outer(V, V)  # sin reuses D once cos has read it
 
 
+_FLOAT_BUSES = 8  # numpy sums a row of fewer entries left to right, as `_float_network` does
+
+
+def _voltage_kernel(B):
+    """The voltage Newton's network evaluation for susceptance matrix `B`.
+
+    Returns `(evaluate, with_blocks)`. `evaluate(v, values)` takes the
+    interleaved voltages as an array and as a list, and gives the network's
+    P and Q as lists and its Hessian there. `with_blocks(hessian, blocks)`
+    returns that Hessian as a new 2N x 2N array with each bus's device block
+    (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block. Below 8
+    buses both run on Python floats (`_float_network`, `_float_hessian`),
+    which equal the array kernel there bit for bit and skip numpy's call
+    overhead; from 8 buses on the array kernel is the only bit-identical one.
+    """
+    if B.shape[0] < _FLOAT_BUSES:
+        rows = B.tolist()
+
+        def evaluate(v, values):
+            return _float_network(values[0::2], values[1::2], rows)
+        return evaluate, _float_hessian
+
+    def evaluate(v, values):
+        theta, V = v[0::2], v[1::2]
+        terms = _angle_terms(theta, V, B)
+        P, Q = _balance(*terms)
+        return P.tolist(), Q.tolist(), network_hessian(theta, V, B, terms)
+    return evaluate, _add_blocks
+
+
+def _add_blocks(H, blocks):
+    """A copy of `H`, each bus's (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block."""
+    H = H.copy()
+    for j, (h_tt, h_tV, h_VV) in zip(range(0, H.shape[0], 2), blocks):
+        H[j, j] += h_tt
+        H[j, j + 1] += h_tV
+        H[j + 1, j] += h_tV
+        H[j + 1, j + 1] += h_VV
+    return H
+
+
 def _float_network(theta, V, B):
-    """`_balance(*_angle_terms(theta, V, B))` and those terms, on Python floats.
+    """`power_balance` and the blocks of `network_hessian`, on Python floats, in one pass.
 
     `theta` and `V` are lists and `B` the susceptance matrix as a list of
-    rows. Returns the lists P and Q, and the terms (C, S, W) as lists of rows
-    for `_float_hessian`. Each product takes the operands of the array
-    kernel, and each row is summed left to right from +0.0. numpy sums a row
-    of fewer than 8 entries the same way (longer rows in pairwise blocks), so
-    below 8 buses this equals the array kernel bit for bit.
+    rows. Returns the lists P and Q, and the Hessian's (theta, theta),
+    (theta, V) and (V, V) blocks, each a row-major list of N x N entries with
+    its diagonal finished. Each product takes the operands of the array
+    kernel (`_angle_terms`, `_balance`, `_hessian_blocks`), and each row is
+    summed left to right from +0.0, the (theta, theta) row with +0.0 in the
+    diagonal's place. numpy sums a row of fewer than 8 entries the same way
+    (longer rows in pairwise blocks), so below 8 buses this equals the array
+    kernel bit for bit.
     """
-    C, S, W, P, Q = [], [], [], [], []
-    for th_i, V_i, B_i in zip(theta, V, B):
-        C_i, S_i, W_i = [], [], []
-        p = q = 0.0
-        for th_j, V_j, b in zip(theta, V, B_i):
+    n = len(B)
+    P, Q, tt, tv, vv = [], [], [], [], []
+    for i, (th_i, V_i, B_i) in enumerate(zip(theta, V, B)):
+        p = q = tt_sum = tv_sum = 0.0
+        for j, (th_j, V_j, b) in enumerate(zip(theta, V, B_i)):
             d = th_i - th_j
             c, s, w = math.cos(d), math.sin(d), b * (V_i * V_j)
             p += s * w
             q += c * w
-            C_i.append(c)
-            S_i.append(s)
-            W_i.append(w)
-        C.append(C_i)
-        S.append(S_i)
-        W.append(W_i)
-        P.append(p)
-        Q.append(-q)
-    return P, Q, (C, S, W)
-
-
-def _float_hessian(V, terms, B, blocks):
-    """`network_hessian` plus a block on each bus's diagonal, from `_float_network`'s terms.
-
-    `V` is a list and `blocks` holds each bus's (h_tt, h_tV, h_VV), added to
-    its (theta, theta), both (theta, V) and its (V, V) entry. The network
-    entries take the products and row sums of `_hessian_blocks` in its
-    order, and each block entry is added to a finished network entry, so
-    below 8 buses this equals `network_hessian(theta, V, B, terms)` with the
-    blocks added bit for bit. Returns the 2N x 2N array.
-    """
-    C, S, W = terms
-    n = len(V)
-    tt, tv, vv = [], [], []  # the three N x N blocks, row by row
-    for i, (C_i, S_i, W_i, B_i, V_i, (h_tt, h_tV, h_VV)) in enumerate(zip(C, S, W, B, V, blocks)):
-        start = len(tt)
-        tv_sum = 0.0
-        for c, s, w, b, V_j in zip(C_i, S_i, W_i, B_i, V):
-            bs = b * s
-            tt.append(-w * c)
+            h, bs = -w * c, b * s
+            tt_sum += 0.0 if j == i else h
+            tv_sum += bs * V_j
+            tt.append(h)
             tv.append(bs * V_i)
             vv.append(-b * c)
-            tv_sum += bs * V_j
-        diag = start + i
-        tt[diag] = 0.0
-        tt_sum = 0.0
-        for h in tt[start:start + n]:
-            tt_sum += h
-        tt[diag] = -tt_sum + h_tt
-        tv[diag] = tv_sum + h_tV
-        vv[diag] = -B_i[i] + h_VV
-    return np.array(_interleaved(n)(tt + tv + vv)).reshape(2 * n, 2 * n)
+        diag = i * (n + 1)
+        tt[diag], tv[diag], vv[diag] = -tt_sum, tv_sum, -B_i[i]
+        P.append(p)
+        Q.append(-q)
+    return P, Q, (tt, tv, vv)
+
+
+def _float_hessian(hessian, blocks):
+    """`_float_network`'s Hessian blocks as a 2N x 2N array, with a device block on each bus.
+
+    Each bus's (h_tt, h_tV, h_VV) is added to its finished (theta, theta),
+    (theta, V) and (V, V) diagonal entry, as `_add_blocks` adds it to
+    `network_hessian`'s, so below 8 buses the two agree bit for bit.
+    """
+    tt, tv, vv = hessian
+    n = len(blocks)
+    nn = n * n
+    H = tt + tv + vv
+    for k, (h_tt, h_tV, h_VV) in zip(range(0, nn, n + 1), blocks):
+        H[k] += h_tt
+        H[nn + k] += h_tV
+        H[2 * nn + k] += h_VV
+    return np.array(_interleaved(n)(H)).reshape(2 * n, 2 * n)
 
 
 @functools.cache
@@ -229,8 +260,8 @@ def power_balance(theta, V, net):
 
     Returns (P, Q) arrays at the buses of Network `net`.
     The angle terms go through `_balance`, the one (P, Q) reduction on arrays,
-    which the power flow and the simulator also use, so all three agree bit
-    for bit; below 8 buses the simulator's `_float_network` equals it.
+    which the power flow and the voltage Newton's array kernel also use, so
+    all three agree bit for bit; below 8 buses `_float_network` equals it.
     """
     return _balance(*_angle_terms(theta, V, net.B))
 

@@ -5,26 +5,24 @@ Semi-explicit index-1 treatment, the partitioned scheme of Stott (Proc. IEEE
 bus voltages (theta_i, V_i) are re-solved by Newton at every stage so that
 device outputs match the network power balance.
 
-Each Newton iterate is evaluated once: one network evaluation and one
-voltage source per device give the energy gradient and, while the iterate
-has not converged, the voltage Hessian. On a few buses an iterate costs
-numpy calls rather than arithmetic, so the feasibility check, the device
-sources, the gradient and the convergence test run on Python floats, and
-each device adds its (theta, V) block into the network Hessian as four
-scalars. Below 8 buses the network's (P, Q) and Hessian run on Python floats
-too (`network._float_network`, `network._float_hessian`): numpy sums a row
-of fewer than 8 entries left to right from +0.0, as those loops do, and
-from 8 buses on it sums in pairwise blocks, so there the array kernel stays.
-At the converged iterate the same network (P, Q) and sources give the
-residual post-check, with each source's (P, Q) formed once, and the stage's
-state derivative. Each solve returns its last network evaluation with its
-voltages; the next stage starts from those voltages, so it takes that
-evaluation for its first iterate. The solve that ends an RK4 step is at the
-next step's starting point, so it also supplies that step's first stage,
-the Bregman storage recorded for the step and each device's (P, Q) in
-`Trajectory.powers`. Python floats and numpy scalars round alike, and each
-product, row sum and `np.dot` takes the operands of the per-piece
-evaluation, so trajectories do not change by a bit.
+Each Newton iterate is evaluated once: one network evaluation, giving the
+network's (P, Q) and Hessian, and one voltage source per device give the
+energy gradient and, while the iterate has not converged, the voltage
+Hessian, to which each device adds its (theta, V) block as four scalars. On
+a few buses an iterate costs numpy calls rather than arithmetic, so the
+feasibility check, the device sources, the gradient and the convergence
+test run on Python floats, and `network._voltage_kernel` picks a network
+evaluation that does too where it rounds like numpy's. At the converged
+iterate the same network (P, Q) and sources give the residual post-check,
+with each source's (P, Q) formed once, and the stage's state derivative.
+Each solve returns its last network evaluation with its voltages; the next
+stage starts from those voltages, so it takes that evaluation for its first
+iterate. The solve that ends an RK4 step is at the next step's starting
+point, so it also supplies that step's first stage, the Bregman storage
+recorded for the step and each device's (P, Q) in `Trajectory.powers`.
+Python floats and numpy scalars round alike, and each product, row sum and
+`np.dot` takes the operands of the per-piece evaluation, so trajectories do
+not change by a bit.
 
 Along trajectories the total Bregman storage (relative to a chosen
 equilibrium) is tracked; for exact solutions it decays at the analytic
@@ -41,14 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (
-    _angle_terms,
-    _balance,
-    _float_hessian,
-    _float_network,
-    network_hessian,
-    power_balance,
-)
+from .network import _voltage_kernel, power_balance
+from .network import network_hessian  # noqa: F401 -- unused; bench/tests traces simulation.network_hessian
 from .system import Equilibrium, PowerSystem
 
 __all__ = [
@@ -85,57 +77,15 @@ def _mismatch(powers, P_net, Q_net):
     return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
 
-_FLOAT_BUSES = 8  # numpy sums a row of fewer entries left to right, as `_float_network` does
-
-
-def _network_kernel(B):
-    """The voltage Newton's network evaluation for susceptance matrix `B`.
-
-    Returns `evaluate(v, values)`, which takes the interleaved voltages as an
-    array and as a list. It gives the network's P and Q as lists, and a
-    function that takes each bus's device block (h_tt, h_tV, h_VV) and
-    returns the 2N x 2N voltage Hessian at the same voltages: the network's,
-    with each block added into its bus's diagonal. Below 8 buses both run
-    on Python floats, which equal the array kernel there bit for bit and
-    skip numpy's call overhead; from 8 buses on the array kernel is the only
-    bit-identical one.
-    """
-    if B.shape[0] < _FLOAT_BUSES:
-        rows = B.tolist()
-
-        def evaluate(v, values):
-            V = values[1::2]
-            P, Q, terms = _float_network(values[0::2], V, rows)
-            return P, Q, lambda blocks: _float_hessian(V, terms, rows, blocks)
-    else:
-        def evaluate(v, values):
-            theta, V = v[0::2], v[1::2]
-            terms = _angle_terms(theta, V, B)
-            P, Q = _balance(*terms)
-            return P.tolist(), Q.tolist(), lambda blocks: _add_blocks(
-                network_hessian(theta, V, B, terms), blocks)
-    return evaluate
-
-
-def _add_blocks(H, blocks):
-    """`H` with each bus's (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block."""
-    for j, (h_tt, h_tV, h_VV) in zip(range(0, H.shape[0], 2), blocks):
-        H[j, j] += h_tt
-        H[j, j + 1] += h_tV
-        H[j + 1, j] += h_tV
-        H[j + 1, j + 1] += h_VV
-    return H
-
-
 def _voltage_newton(system, states, setpoints, v_guess, network=None):
     """`solve_bus_voltages` on per-device `states`.
 
     `network` is the network evaluation at `v_guess` that an earlier solve
     ended with, when there is one; it stands in for the first iterate's.
-    Also returns the network's Q, each device's source and (P, Q), and the
-    network evaluation, all at the solution.
+    Also returns each device's source and (P, Q), and the network
+    evaluation (P, Q, Hessian), all at the solution.
     """
-    evaluate = _network_kernel(system.net.B)
+    evaluate, with_blocks = _voltage_kernel(system.net.B)
     v = np.array(v_guess, dtype=float)
     for _ in range(_NEWTON_MAX_ITER):
         values = v.tolist()
@@ -154,7 +104,7 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
             g += (P + g_theta, Q / V_i + g_V)
         if all(abs(g_i) <= 0.1 * _NEWTON_TOL for g_i in g):  # a NaN never passes, unlike max()'s
             break
-        H = hessian([src.bus_block() for src in sources])  # a load adds zeros: -0.0 turns +0.0
+        H = with_blocks(hessian, [src.bus_block() for src in sources])  # a load's 0s: -0.0 to +0.0
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -170,7 +120,7 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
     res = _mismatch(powers, P_l, Q_l)
     if not res <= _NEWTON_TOL:  # a NaN residual fails too
         raise AlgebraicSolveError(f"voltage solve residual {res:.3e} exceeds {_NEWTON_TOL:.1e}")
-    return v, Q_l, sources, powers, network
+    return v, sources, powers, network
 
 
 def algebraic_residual(system, x, v, setpoints):
@@ -322,12 +272,15 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     AlgebraicSolveError is raised, as there is no trajectory to return. Every
     step is recorded. On a later algebraic solve failure the trajectory is
     truncated and returned with a diagnostic instead of raising. `dt` and
-    `t_end` must be positive and finite, and a step count `t_end / dt` that
-    overflows or exceeds sys.maxsize, which no trajectory could hold, raises
-    ValueError.
+    `t_end` must be positive and finite, else ValueError names the one that
+    is not; so does a step count `t_end / dt` that overflows or exceeds
+    sys.maxsize, which no trajectory could hold.
     """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not 0 < value < math.inf:  # also rejects nan
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n_steps = t_end / dt
-    if not n_steps <= sys.maxsize:  # also rejects inf and nan
+    if not n_steps <= sys.maxsize:  # also rejects an overflow to inf
         raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g} "
                          f"(a trajectory holds at most {sys.maxsize} steps)")
     n_steps = int(round(n_steps))
@@ -344,13 +297,12 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
         the same pair for the next stage.
         """
         states = _split_states(x_stage, slices)
-        v_stage, Q_net, sources, powers, network = _voltage_newton(system, states, setpoints,
-                                                                   *start)
+        v_stage, sources, powers, network = _voltage_newton(system, states, setpoints, *start)
         parts = [dev._state_derivative(state, src, P, sp, system.omega0)
                  for dev, state, src, (P, _), sp in zip(system.devices, states, sources, powers,
                                                         setpoints)]
         deriv = np.concatenate(parts) if parts else np.zeros(0)
-        return deriv, (v_stage, network), (states, v_stage, Q_net, sources), powers
+        return deriv, (v_stage, network), (states, v_stage, network[1], sources), powers
 
     k1, start, solved, powers = rhs(x, (eq.v(),))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import network, simulation
+from gridcert import network
 from gridcert.network import PQ, PV, Line, Network, PowerFlowError, Slack
 
 from _oracles import (
@@ -226,18 +226,19 @@ def _kernel_points(rng, n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_simulator_network_kernel_equals_the_array_kernel(n, monkeypatch):
     # below 8 buses the voltage Newton's network terms are Python floats, from 8 on numpy
-    # arrays; both must give power_balance and network_hessian plus the device blocks, signs
-    # of zeros included
+    # arrays; both must give power_balance and network_hessian, alone and plus the device
+    # blocks, signs of zeros included
     rng = np.random.default_rng(100 + n)
     array_builds = []
-    monkeypatch.setattr(simulation, "network_hessian",
+    monkeypatch.setattr(network, "network_hessian",
                         lambda *args: array_builds.append(n) or gc.network_hessian(*args))
     for B, v in _kernel_points(rng, n):
         theta, V = v[0::2], v[1::2]
         # per bus a random block, a load's (zeros but for (V, V)) or zeros
         blocks = [rng.choice([rng.normal(size=3), [0.0, 0.0, rng.normal()], [0.0] * 3]).tolist()
                   for _ in range(n)]
-        P, Q, hessian = simulation._network_kernel(B)(v, v.tolist())
+        evaluate, with_blocks = network._voltage_kernel(B)
+        P, Q, hessian = evaluate(v, v.tolist())
         H = gc.network_hessian(theta, V, B)
         for j, (h_tt, h_tV, h_VV) in zip(range(0, 2 * n, 2), blocks):
             H[j, j] += h_tt
@@ -245,8 +246,12 @@ def test_simulator_network_kernel_equals_the_array_kernel(n, monkeypatch):
             H[j + 1, j] += h_tV
             H[j + 1, j + 1] += h_VV
         P_array, Q_array = gc.power_balance(theta, V, Network(n, B))
-        for got, want in zip((P, Q, hessian(blocks)), (P_array, Q_array, H)):
+        for got, want in zip((P, Q, with_blocks(hessian, blocks)), (P_array, Q_array, H)):
             assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+        if n < network._FLOAT_BUSES:  # the float kernel's three blocks, interleaved
+            hessian = np.array(network._interleaved(n)(sum(hessian, []))).reshape(2 * n, 2 * n)
+        assert np.array_equal(hessian.view(np.uint64),
+                              gc.network_hessian(theta, V, B).view(np.uint64))
     assert bool(array_builds) == (n >= 8)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import devices, simulation
+from gridcert import devices, network, simulation
 from gridcert.simulation import (
     AlgebraicSolveError,
     algebraic_residual,
@@ -219,6 +219,26 @@ class TestReferenceEquality:
         assert len(solves) == 4 * 10 + 1
         assert len(powers) == len(set(map(id, powers))) == 3 * len(solves)
 
+    def test_evaluations_per_solve(self, monkeypatch):
+        # each Newton iterate takes one network evaluation and, unless it converged, one
+        # linear solve; each stage's first iterate reuses the evaluation its start ended with
+        system, eq = fixture_system(None)
+        counts = {"solves": 0, "evaluations": 0, "linear": 0}
+
+        def counting(key, fn):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(simulation, "_voltage_newton",
+                            counting("solves", simulation._voltage_newton))
+        monkeypatch.setattr(network, "_float_network",
+                            counting("evaluations", network._float_network))
+        monkeypatch.setattr(np.linalg, "solve", counting("linear", np.linalg.solve))
+        simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=5e-4, t_end=0.005)
+        assert counts == {"solves": 41, "evaluations": 76, "linear": 75}
+
 
 class TestSimulate:
     def test_equilibrium_start_stays_constant(self):
@@ -267,6 +287,16 @@ class TestSimulate:
         eq = cfg.system.equilibrium(solved(cfg))
         with pytest.raises(AlgebraicSolveError):
             simulate(cfg.system, eq, x0=perturbed_state(eq, 0, 1.0), dt=1e-3, t_end=0.01)
+
+    @pytest.mark.parametrize("dt, t_end, name", [(-1e-3, 1.0, "dt"), (math.inf, 1.0, "dt"),
+                                                 (0.0, 1.0, "dt"), (math.nan, 1.0, "dt"),
+                                                 (1e-3, -1.0, "t_end"), (1e-3, 0.0, "t_end"),
+                                                 (1e-3, math.inf, "t_end")])
+    def test_step_and_horizon_must_be_positive_and_finite(self, dt, t_end, name, monkeypatch):
+        system, eq = fast_three_bus()
+        monkeypatch.setattr(simulation, "_voltage_newton", None)  # no solve may start
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            simulate(system, eq, dt=dt, t_end=t_end)
 
     def test_step_count_overflow_raises(self):
         system, eq = fast_three_bus()
