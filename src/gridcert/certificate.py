@@ -108,7 +108,11 @@ def structural_null_vector(n_bus):
 
 
 def _complement_basis(unit):
-    """Orthonormal basis of the complement of a unit vector (Householder columns)."""
+    """Orthonormal basis of the complement of a unit vector (Householder columns).
+
+    The reflector I - 2 w w^T is built in one array, with the bits of
+    forming eye(m) and 2 outer(w, w) and taking their difference.
+    """
     m = unit.size
     w = unit.copy()
     w[0] -= 1.0
@@ -116,21 +120,23 @@ def _complement_basis(unit):
     if nw < 1e-14:
         return np.eye(m)[:, 1:]
     w /= nw
-    H = np.eye(m) - 2.0 * np.outer(w, w)
+    H = np.outer(w, 2.0 * w)
+    np.subtract(0.0, H, out=H)
+    H.flat[::m + 1] += 1.0
     return H[:, 1:]
 
 
 def deflated_min_eig(M, null_unit):
     """Smallest eigenvalue and eigenvector of M restricted to the complement of null_unit."""
     Z = _complement_basis(null_unit)
-    vals, vecs = _deflated_eigh(M[None], Z)
-    return float(vals[0]), Z @ vecs[0]
+    vals, vecs = _deflated_eigh(Z.T @ M @ Z)
+    return float(vals), Z @ vecs
 
 
-def _deflated_eigh(M, Z):
-    """Smallest eigenpair of Z^T M Z for each M of a stack."""
-    vals, vecs = np.linalg.eigh(Z.T @ M @ Z)
-    return vals[:, 0], vecs[:, :, 0]
+def _deflated_eigh(D):
+    """Smallest eigenpair of each deflated matrix Z^T M Z of a stack, or of one matrix."""
+    vals, vecs = np.linalg.eigh(D)
+    return vals[..., 0], vecs[..., :, 0]
 
 
 def _check_balance(system, flow):
@@ -179,14 +185,17 @@ def _band(x, above):
 
 @dataclass
 class StabilityReport:
-    """Certificate outcome: per-bus coefficients, condition matrix spectrum edge, verdict."""
+    """Certificate outcome: per-bus coefficients, condition matrix spectrum edge, verdict.
+
+    `null_residual` is max |M n| for the condition matrix M and the unit
+    uniform-phase-shift vector n; M is network_hessian plus the stiffness blocks.
+    """
 
     gammas: dict
     verdict: str
     min_eig: float | None = None
     witness: np.ndarray | None = None
     violating_bus: int | None = None
-    condition_matrix: np.ndarray | None = None
     null_residual: float | None = None
 
     def to_json_dict(self):
@@ -239,14 +248,22 @@ def certify(flow, system, bus_ids=None):
 
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))
-    min_eig, vec = deflated_min_eig(M, null_unit)
+    # Z^T M Z, dropping M and Z after their last use: in eigh only the deflated matrix is alive
+    Z = _complement_basis(null_unit)
+    D = Z.T @ M
+    del M
+    D = D @ Z
+    del Z
+    vals, vecs = _deflated_eigh(D)
+    del D
+    min_eig = float(vals)
     verdict = _band(min_eig, "stable")
 
     return StabilityReport(
         gammas=gammas,
         verdict=verdict,
         min_eig=min_eig,
-        witness=vec if verdict == "unstable" else None,
-        condition_matrix=M,
+        # the reflector, built again, applied to the eigenvector
+        witness=_complement_basis(null_unit) @ vecs if verdict == "unstable" else None,
         null_residual=null_residual,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .devices import OMEGA0_DEFAULT, ConstantPowerLoad, device_from_dict
+from .devices import OMEGA0_DEFAULT, ConstantPowerLoad, _real, device_from_dict
 from .network import PQ, PV, Line, Network, Slack
 from .system import PowerSystem
 
@@ -53,7 +53,8 @@ def _get(doc, key, where, types=None):
     if key not in doc:
         raise ConfigError(f"{where}: missing required key '{key}'")
     value = doc[key]
-    if types is not None and not isinstance(value, types):
+    # a boolean is an int to isinstance, and no key takes one
+    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
         raise ConfigError(f"{where}: key '{key}' has wrong type {type(value).__name__}")
     return value
 
@@ -62,7 +63,7 @@ def _number(doc, key, where, default=None):
     """The finite number under `key`; `default` where the key is absent and has one."""
     value = _get(doc, key, where) if default is None else doc.get(key, default)
     try:
-        value = float(value)
+        value = _real(value, key)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     if not math.isfinite(value):
@@ -127,7 +128,7 @@ def parse_config(doc):
                 raise ConfigError(f"{where}: unknown bus id {end}")
         b = _get(ln, "b", where)
         try:
-            lines.append(Line(from_bus=index[fr], to_bus=index[to], b=float(b)))
+            lines.append(Line(from_bus=index[fr], to_bus=index[to], b=_real(b, "b")))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 

@@ -634,4 +634,11 @@ def device_from_dict(doc):
     extra = [f for f in doc if f not in fields]
     if extra:
         raise ValueError(f"device kind {kind!r} got unexpected parameters {extra}")
-    return cls(**{f: float(doc[f]) for f in fields})
+    return cls(**{f: _real(doc[f], f) for f in fields})
+
+
+def _real(value, key):
+    """`value` as a float; a boolean or a string is not a number, though float() takes both."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"key '{key}' must be a number, not {type(value).__name__}")
+    return float(value)

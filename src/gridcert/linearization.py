@@ -53,14 +53,33 @@ class DegenerateEquilibriumError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnergyHessian:
-    """Hessian of the total energy over (device states...) + interleaved bus (theta, V)."""
+    """Hessian of the total energy by blocks: device states (x) and bus pairs (v).
 
-    matrix: np.ndarray
-    n_states: int
+    The bus pairs are interleaved as (theta_1, V_1, ..., theta_N, V_N). The
+    (x, x) block is zero but for one block per device, and `diagonal` holds
+    each device's (slice of the states, block); the (v, x) block is the
+    transpose of `xv`.
+    """
+
+    diagonal: list
+    xv: np.ndarray
+    vv: np.ndarray
 
     @property
-    def vv(self):
-        return self.matrix[self.n_states:, self.n_states:]
+    def n_states(self):
+        return self.xv.shape[0]
+
+    @property
+    def matrix(self):
+        """The whole matrix over (device states...) + (theta, V) pairs, built on each access."""
+        n_x = self.n_states
+        H = np.zeros((n_x + len(self.vv),) * 2)
+        for states, block in self.diagonal:
+            H[states, states] = block
+        H[:n_x, n_x:] = self.xv
+        H[n_x:, :n_x] = self.xv.T
+        H[n_x:, n_x:] = self.vv
+        return H
 
 
 def _residual_error(flow_res, deriv_res=0.0):
@@ -86,30 +105,32 @@ def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium):
                             max([0.0, *(float(np.max(np.abs(d))) for d in deriv if d.size)]))
     if error:
         raise error
-    n = system.n_bus
     n_x = system.n_states
     slices = system.state_slices()
-    H = np.zeros((n_x + 2 * n, n_x + 2 * n))
-    H[n_x:, n_x:] = network_hessian(eq.flow.theta, eq.flow.V, system.net.B)
+    blocks = ([], np.zeros((n_x, 2 * system.n_bus)),
+              network_hessian(eq.flow.theta, eq.flow.V, system.net.B))
     for i, dev in enumerate(system.devices):
         Hd = dev.energy_hessian(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
                                 eq.setpoints[i], system.omega0)
-        _add_device_block(H, Hd, slices[i], n_x + 2 * i)
-    return EnergyHessian(matrix=H, n_states=n_x)
+        _add_device_block(blocks, Hd, slices[i], i)
+    return EnergyHessian(*blocks)
 
 
-def _add_device_block(H, Hd, states, bus_col):
-    """Add a device Hessian over (states..., theta, V) into the total energy Hessian.
+def _add_device_block(blocks, Hd, states, bus):
+    """Add a device Hessian over (states..., theta, V) into the energy Hessian's blocks.
 
-    `states` is the device's slice of the state coordinates and `bus_col` the
-    column of its bus theta. Works on one matrix or on a stack of them.
+    `blocks` is (diagonal, xv, vv) as in EnergyHessian, `states` the
+    device's slice of the state coordinates and `bus` the index of its bus.
+    The device's state block joins the list `diagonal`. Device Hessians are
+    symmetric, so the (v, x) block is left to the transpose of xv. Works on
+    one set of blocks or on stacks of them.
     """
+    diagonal, xv, vv = blocks
     k = states.stop - states.start
-    bus = slice(bus_col, bus_col + 2)
-    H[..., states, states] += Hd[..., :k, :k]
-    H[..., states, bus] += Hd[..., :k, k:]
-    H[..., bus, states] += Hd[..., k:, :k]
-    H[..., bus, bus] += Hd[..., k:, k:]
+    pair = slice(2 * bus, 2 * bus + 2)
+    diagonal.append((states, Hd[..., :k, :k] + 0.0))  # the bits of adding it to a zero block
+    xv[..., states, pair] += Hd[..., :k, k:]
+    vv[..., pair, pair] += Hd[..., k:, k:]
 
 
 def damping_matrix(system: PowerSystem):
@@ -174,20 +195,39 @@ def _kron_reduce(H, n_keep):
     """
     if H.shape[-1] == n_keep:
         return H.copy(), np.full(len(H), np.inf)
-    Hvv = H[:, n_keep:, n_keep:]
-    if not np.isfinite(Hvv).all():
+    return _schur([[(slice(0, n_keep), H[:, :n_keep, :n_keep])],
+                   H[:, :n_keep, n_keep:], H[:, n_keep:, n_keep:]])
+
+
+def _schur(blocks):
+    """`_kron_reduce` from the list [diagonal, xv, vv] of a stack's blocks, as in EnergyHessian.
+
+    Empties the list and drops each block after its last use, so that a
+    block the caller holds no other reference to is freed there.
+    """
+    diagonal, xv, vv = blocks
+    blocks.clear()
+    if not np.isfinite(vv).all():
         # a non-finite block has no condition number, and LAPACK prints errors on some
         raise np.linalg.LinAlgError("algebraic block is not finite")
-    cond, lam = _condition(Hvv)
+    cond, lam = _condition(vv)
     rejected = cond[~(cond <= KRON_COND_LIMIT)]  # a nan fails the limit too
     if rejected.size:
         raise np.linalg.LinAlgError(
             f"algebraic block numerically singular (condition {rejected[0]:.3e} > "
             f"{KRON_COND_LIMIT:.1e})"
         )
-    Hxv = H[:, :n_keep, n_keep:]
-    S = H[:, :n_keep, :n_keep] - Hxv @ np.linalg.solve(Hvv, Hxv.swapaxes(1, 2))
-    S = 0.5 * (S + S.swapaxes(1, 2))
+    S = np.linalg.solve(vv, xv.swapaxes(1, 2))
+    del vv
+    S = xv @ S
+    del xv
+    # xx - S, xx being zero off its diagonal blocks
+    on_blocks = [(states, block - S[:, states, states]) for states, block in diagonal]
+    np.subtract(0.0, S, out=S)
+    for states, block in on_blocks:
+        S[:, states, states] = block
+    S = S + S.swapaxes(1, 2)
+    S *= 0.5
     return S, lam[:, 0]
 
 
@@ -206,8 +246,8 @@ def _condition(A):
 
 
 def _spectra(R, S):
-    """Spectra of the state matrices -R S of a stack."""
-    return np.linalg.eigvals(-R @ S)
+    """Spectra of the state matrices -R S of a stack; negates R in place."""
+    return np.linalg.eigvals(np.negative(R, out=R) @ S)
 
 
 def _spectrum_verdicts(eig):
@@ -259,7 +299,9 @@ def eigenvalue_verdict(system: PowerSystem, eq: Equilibrium):
     if system.n_states == 0:
         raise ValueError("system has no dynamic states; eigenvalue verdict undefined")
     H = assemble_energy_hessian(system, eq)
-    S, margins = _kron_reduce(H.matrix[None], H.n_states)
+    blocks = [H.diagonal, H.xv[None], H.vv[None]]
+    del H  # the Schur kernel frees each block after its last use
+    S, margins = _schur(blocks)
     eig = _spectra(damping_matrix(system)[None], S)[0]
     eig = eig[np.lexsort((eig.imag, eig.real))]
     verdicts, zero = _spectrum_verdicts(eig[None])

@@ -41,8 +41,8 @@ from .devices import CapabilityError, ConstantPowerLoad, _capability
 from .linearization import (
     DegenerateEquilibriumError,
     _add_device_block,
-    _kron_reduce,
     _residual_error,
+    _schur,
     _spectra,
     _spectrum_verdicts,
 )
@@ -159,17 +159,17 @@ class _Sweep:
         # a coefficient <= 0 decides every point before the matrix
         self.blocks = None if any(b is None for b in blocks) else np.array(blocks)
 
-        # eigenvalue oracle: energy Hessian and damping matrix without the swept device
-        self.n_x = n_x = system.n_states
+        # eigenvalue oracle: energy Hessian blocks and damping matrix without the swept device
+        n_x = system.n_states
         slices = system.state_slices()
-        self.states, self.bus_col = slices[bus], n_x + 2 * bus
-        self.H = np.pad(self.nh, (n_x, 0))  # device states first, then the bus (theta, V) pairs
+        self.states = slices[bus]
+        self.energy = ([], np.zeros((n_x, self.nh.shape[0])), self.nh.copy())
         self.R = np.zeros((n_x, n_x))
         self.equilibrium = (_residual_error(terms.residual) is None
                             and all(pair is not None for _, _, pair in others.values()))
         if self.equilibrium:
             for i, (_, _, (hessian, damping)) in others.items():
-                _add_device_block(self.H, hessian, slices[i], n_x + 2 * i)
+                _add_device_block(self.energy, hessian, slices[i], i)
                 self.R[slices[i], slices[i]] = damping
 
     def points(self, xd_values, xq_values):
@@ -216,16 +216,17 @@ class _Sweep:
             blocks[:, self.bus] = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
             M = np.repeat(self.nh[None], matrix.size, axis=0)
             _add_stiffness(M, blocks, range(blocks.shape[1]))
-            lam = _deflated_eigh(M, self.Z)[0]
+            lam = _deflated_eigh(self.Z.T @ M @ self.Z)[0]
             verdicts[matrix], min_eigs[matrix] = _band(lam, "stable"), lam.tolist()
         out[0][points], out[2][points] = verdicts, min_eigs
 
     def _eigen(self, out, points, hessians, dampings):
-        H = np.repeat(self.H[None], len(points), axis=0)
-        _add_device_block(H, hessians, self.states, self.bus_col)
+        diagonal, xv, vv = self.energy
+        blocks = [list(diagonal), *(np.repeat(b[None], len(points), axis=0) for b in (xv, vv))]
+        _add_device_block(blocks, hessians, self.states, self.bus)
         R = np.repeat(self.R[None], len(points), axis=0)
         R[:, self.states, self.states] = dampings
-        out[1][points] = _spectrum_verdicts(_spectra(R, _kron_reduce(H, self.n_x)[0]))[0]
+        out[1][points] = _spectrum_verdicts(_spectra(R, _schur(blocks)[0]))[0]
 
 
 def _settle(out, column, evaluate, points, *stacks):

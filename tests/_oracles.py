@@ -13,6 +13,7 @@ import numpy as np
 import gridcert as gc
 from gridcert import simulation
 from gridcert.linearization import assemble_energy_hessian
+from gridcert.network import network_hessian
 from gridcert.simulation import algebraic_residual
 
 
@@ -128,6 +129,28 @@ def random_system(rng, angle_scale=0.35, n_bus=None, allow_loads=True):
     system = gc.PowerSystem(net, devices)
     flow = gc.PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=0.0, iterations=0)
     return system, flow
+
+
+def energy_hessian_reference(system, eq):
+    """The total energy Hessian assembled as one matrix, as first written.
+
+    Each device's Hessian over (states..., theta, V) is added, block by
+    block, into a zero matrix holding the network Hessian;
+    `assemble_energy_hessian(...).matrix` must reproduce these bits.
+    """
+    n, n_x = system.n_bus, system.n_states
+    H = np.zeros((n_x + 2 * n, n_x + 2 * n))
+    H[n_x:, n_x:] = network_hessian(eq.flow.theta, eq.flow.V, system.net.B)
+    for i, (dev, states) in enumerate(zip(system.devices, system.state_slices())):
+        Hd = dev.energy_hessian(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
+                                eq.setpoints[i], system.omega0)
+        k = states.stop - states.start
+        bus = slice(n_x + 2 * i, n_x + 2 * i + 2)
+        H[states, states] += Hd[:k, :k]
+        H[states, bus] += Hd[:k, k:]
+        H[bus, states] += Hd[k:, :k]
+        H[bus, bus] += Hd[k:, k:]
+    return H
 
 
 def voltage_regular(system, eq, margin=1e-6):

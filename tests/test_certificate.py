@@ -161,8 +161,14 @@ class TestCertify:
             mc = gc.apply_load_mode(cfg, mode) if mode else cfg
             flow = solved(mc)
             report = certify(flow, mc.system)
-            M = report.condition_matrix
+            M = network_hessian(flow.theta, flow.V, mc.system.net.B)
+            for i, dev in enumerate(mc.system.devices):
+                op = mc.system.operating_point(flow, i)
+                M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
+                    load_stiffness_block(dev.Q_ref, op.V) if dev.kind == "load"
+                    else bus_stiffness_block(op, dev.X_d, dev.X_q))
             assert np.max(np.abs(M - M.T)) < 1e-12
+            assert report.null_residual == np.max(np.abs(M @ structural_null_vector(3)))
             assert report.null_residual < 1e-10
 
     def test_phase_shift_invariance_of_verdict(self):

@@ -136,6 +136,13 @@ class TestCertify:
                                                 "real number, not 'NoneType'"),
         (("lines", 1, "b"), "null", "lines[1]: float() argument must be a string or a real number, "
                                     "not 'NoneType'"),
+        # float() takes booleans and numeric strings, which the schema does not
+        (("omega0",), "true", "config: key 'omega0' must be a number, not bool"),
+        (("buses", 0, "device", "M"), "true", "buses[0]: key 'M' must be a number, not bool"),
+        (("buses", 1, "spec", "P"), '"-3.5"', "buses[1].spec: key 'P' must be a number, not str"),
+        (("lines", 0, "b"), "false", "lines[0]: key 'b' must be a number, not bool"),
+        (("lines", 1, "to"), "true", "lines[1]: key 'to' has wrong type bool"),
+        (("buses", 0, "id"), "true", "buses[0]: key 'id' has wrong type bool"),
     ]
 
     @pytest.mark.parametrize("path, literal, message", BAD_NUMBERS)

@@ -18,7 +18,15 @@ from gridcert.linearization import (
     kron_reduce,
 )
 
-from _oracles import fd_hessian, random_system, solved, three_bus_doc, voltage_regular
+from _oracles import (
+    energy_hessian_reference,
+    fd_hessian,
+    random_system,
+    solved,
+    three_bus_doc,
+    voltage_regular,
+)
+from test_simulation import fixture_system, two_axis_and_load_system, twelve_bus_system
 
 
 def single_vsg_bus(M=0.2, D=1.3, x_d=0.10, x_q=0.069):
@@ -123,6 +131,20 @@ class TestKronReduce:
         H[0, 0] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             kron_reduce(H, 1)
+
+    @pytest.mark.parametrize("case", ["forming", "following", "two_axis_load", "twelve_bus"])
+    def test_block_kernel_equals_the_whole_matrix_reduction(self, case):
+        system, eq = (two_axis_and_load_system() if case == "two_axis_load"
+                      else twelve_bus_system() if case == "twelve_bus"
+                      else fixture_system(case))
+        reference = energy_hessian_reference(system, eq)
+        whole = assemble_energy_hessian(system, eq).matrix
+        assert np.array_equal(whole.view(np.uint64), reference.view(np.uint64))  # signed zeros too
+        eig = _spectra(damping_matrix(system)[None],
+                       kron_reduce(reference, system.n_states)[None])[0]
+        eig = eig[np.lexsort((eig.imag, eig.real))]
+        spectrum = eigenvalue_verdict(system, eq).eigenvalues
+        assert np.array_equal(spectrum.view(np.uint64), eig.view(np.uint64))
 
     def test_reduced_definiteness_matches_certificate(self):
         # positive semidefiniteness of the reduced Hessian is equivalent to the
