@@ -129,12 +129,23 @@ def _complement_basis(unit):
 def deflated_min_eig(M, null_unit):
     """Smallest eigenvalue and eigenvector of M restricted to the complement of null_unit."""
     Z = _complement_basis(null_unit)
-    vals, vecs = _deflated_eigh(Z.T @ M @ Z)
+    vals, vecs = _deflated_eigh([M, Z])
     return float(vals), Z @ vecs
 
 
-def _deflated_eigh(D):
-    """Smallest eigenpair of each deflated matrix Z^T M Z of a stack, or of one matrix."""
+def _deflated_eigh(parts):
+    """Smallest eigenpair of Z^T M Z from the list [M, Z], M one matrix or a stack.
+
+    Empties the list and drops each array after its last use, as `_schur`
+    does, so that an array the caller holds no other reference to is freed
+    before `eigh`. The eigenvectors are in the coordinates of Z.
+    """
+    M, Z = parts
+    parts.clear()
+    D = Z.T @ M
+    del M
+    D = D @ Z
+    del Z
     vals, vecs = np.linalg.eigh(D)
     return vals[..., 0], vecs[..., :, 0]
 
@@ -248,14 +259,9 @@ def certify(flow, system, bus_ids=None):
 
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))
-    # Z^T M Z, dropping M and Z after their last use: in eigh only the deflated matrix is alive
-    Z = _complement_basis(null_unit)
-    D = Z.T @ M
-    del M
-    D = D @ Z
-    del Z
-    vals, vecs = _deflated_eigh(D)
-    del D
+    parts = [M, _complement_basis(null_unit)]
+    del M  # the kernel drops M and Z: in eigh only the deflated matrix is alive
+    vals, vecs = _deflated_eigh(parts)
     min_eig = float(vals)
     verdict = _band(min_eig, "stable")
 

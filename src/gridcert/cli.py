@@ -22,7 +22,7 @@ from .config import ConfigError, apply_load_mode, load_config
 from .linearization import DegenerateEquilibriumError, eigenvalue_verdict
 from .network import PowerFlowError, normalize_angle, solve_power_flow
 from .simulation import AlgebraicSolveError, simulate
-from .sweep import sweep_each
+from .sweep import sweep_verdicts
 
 __all__ = ["main"]
 
@@ -47,10 +47,13 @@ def _output(args, header):
 
 
 def _emit(text, out_path):
-    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
+    sys.stdout.write(text)
 
 
 def _setup(config, load_mode=None):
@@ -174,8 +177,9 @@ def cmd_sweep(args):
     flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
     buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
     text = {x: _fmt(x) for x in (*xd_values, *xq_values)}  # each grid value formatted once
-    # one evaluation of what the flow alone fixes serves both modes
-    for mode, points in zip(modes, sweep_each(systems, flow, bus_index, xd_values, xq_values)):
+    # every mode's sweep bus is checked before any point is evaluated
+    sweeps = [sweep_verdicts(system, flow, bus_index, xd_values, xq_values) for system in systems]
+    for mode, points in zip(modes, sweeps):
         for x_d, x_q, v_cert, v_eig, min_eig in points:
             min_eig = _fmt(min_eig) if min_eig is not None else ""
             buf.write(f"{text[x_d]},{text[x_q]},{mode},{v_cert},{v_eig},{min_eig}\n")

@@ -89,7 +89,7 @@ def parse_config(doc):
     buses = _get(doc, "buses", "config", list)
     if not buses:
         raise ConfigError("config: at least one bus required")
-    lines_doc = doc.get("lines", [])
+    lines_doc = _get(doc, "lines", "config", list) if "lines" in doc else []
     omega0 = _number(doc, "omega0", "config", OMEGA0_DEFAULT)
     if omega0 <= 0:
         raise ConfigError("config: omega0 must be positive")

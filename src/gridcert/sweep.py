@@ -1,13 +1,12 @@
 """Batched reactance sweep: both stability verdicts over an (X_d, X_q) grid at one bus.
 
 Between grid points only the swept bus's device changes. The flow's balance
-check, operating points and network Hessian are computed once per flow, for
-every system swept at it (`_FlowTerms`; the CLI's two load modes share
-one), and each other device's coefficient, stiffness block and energy blocks
-once per device. The grid is walked X_d-major and cut into stacks of at
-most max(1, _STACK_ENTRIES // size**2) points, `size` being the eigen
-oracle's energy-Hessian dimension, so memory stays bounded whatever the
-grid or the system; a stack may cross X_d rows. The swept device's closed
+check, operating points and network Hessian are computed once per sweep, and
+each other device's coefficient, stiffness block and energy blocks once per
+device. The grid is walked X_d-major and cut into stacks of at most
+max(1, _STACK_ENTRIES // size**2) points, `size` being the eigen oracle's
+energy-Hessian dimension, so memory stays bounded whatever the grid or the
+system; a stack may cross X_d rows. The swept device's closed
 forms are evaluated once per stack, over arrays of its points, and the
 stack goes through the kernels that `certify` and `eigenvalue_verdict` run
 on a stack of one. LAPACK's stacked calls compute each matrix on its own,
@@ -48,7 +47,7 @@ from .linearization import (
 )
 from .network import network_hessian
 
-__all__ = ["sweep_verdicts", "sweep_each"]
+__all__ = ["sweep_verdicts"]
 
 #: Matrix entries in one stack of the eigen oracle's energy Hessians. A stack holds at most
 #: max(1, _STACK_ENTRIES // size**2) grid points, `size` being that Hessian's dimension, so each
@@ -59,100 +58,48 @@ _STACK_ENTRIES = 2**16
 def sweep_verdicts(system, flow, bus, xd_values, xq_values):
     """Certificate and eigenvalue verdicts with bus index `bus`'s device at each (X_d, X_q).
 
-    Yields (x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) for
-    every grid point, X_d-major; min_eig is None where the certificate stops
-    at a synchronizing coefficient. A verdict is infeasible where the library
-    call behind it would raise, and both are where the device cannot be built.
-    A non-positive bus voltage in `flow` raises ValueError.
+    Returns an iterator of (x_d, x_q, certificate verdict, eigenvalue verdict,
+    min_eig) for every grid point, X_d-major; min_eig is None where the
+    certificate stops at a synchronizing coefficient. A verdict is infeasible
+    where the library call behind it would raise, and both are where the
+    device cannot be built. A load at the swept bus or a non-positive bus
+    voltage in `flow` raises ValueError here, before any point is evaluated.
     """
-    (points,) = sweep_each([system], flow, bus, xd_values, xq_values)
-    yield from points
-
-
-def sweep_each(systems, flow, bus, xd_values, xq_values):
-    """`sweep_verdicts` of each system in the sequence `systems`, which share one network.
-
-    Yields one generator of points per system, in order. The flow's balance
-    check, operating points and network Hessian are computed once for all of
-    them, and the terms of a device that several systems hold at the same
-    bus once per device.
-    """
-    if any(isinstance(system.devices[bus], ConstantPowerLoad) for system in systems):
+    if isinstance(system.devices[bus], ConstantPowerLoad):
         raise ValueError("sweep bus must host a generator or grid-forming inverter")
-    terms = _FlowTerms(systems[0], flow) if systems else None
-    for system in systems:
-        yield _Sweep(terms, system, bus).points(xd_values, xq_values)
-
-
-class _FlowTerms:
-    """What a flow fixes for every system on its network, and each device's terms at its bus.
-
-    `ops` is None where the flow fails the certificate's balance check,
-    which makes both verdicts infeasible at every point.
-    """
-
-    def __init__(self, system, flow):
-        self.theta, self.ops = flow.theta, None
-        try:
-            self.residual = _check_balance(system, flow)  # the network's, whatever the devices
-        except CertificateError:
-            return
-        n = system.n_bus
-        self.ops = [system.operating_point(flow, i) for i in range(n)]
-        self.nh = network_hessian(flow.theta, flow.V, system.net.B)
-        self.Z = _complement_basis(structural_null_vector(n))
-        self._devices = {}
-
-    def device(self, i, dev, omega0):
-        """(synchronizing coefficient, stiffness block, energy Hessian and damping block) of
-        `dev` at bus i, computed once per device (devices compare by identity).
-
-        Each is None where the call behind it raises: the coefficient (which a
-        load does not have) and the stiffness block where the device leaves
-        its capability region, the stiffness block also where the coefficient
-        is <= 0, and the Hessian and damping pair where the device has no
-        stationary state.
-        """
-        key = (i, dev, omega0)
-        if key not in self._devices:
-            gamma = block = blocks = None
-            op, theta = self.ops[i], float(self.theta[i])
-            try:
-                if not isinstance(dev, ConstantPowerLoad):
-                    gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
-                block = _stiffness_block(dev, op)
-            except (CertificateError, CapabilityError):
-                pass
-            try:
-                hessian, damping, holds = _device_blocks(dev, theta, op, omega0)
-                blocks = (hessian, damping) if holds else None
-            except ValueError:  # capability, or a load the flow does not match
-                pass
-            self._devices[key] = gamma, block, blocks
-        return self._devices[key]
+    return _Sweep(system, flow, bus).points(xd_values, xq_values)
 
 
 class _Sweep:
-    """What the swept device does not change in one system, and the evaluation of a stack."""
+    """What the swept device does not change, and the evaluation of a stack.
 
-    def __init__(self, terms, system, bus):
+    Nothing is certifiable where the flow fails the certificate's balance
+    check, which makes both verdicts infeasible at every point.
+    """
+
+    def __init__(self, system, flow, bus):
         devices = system.devices
         self.device, self.bus, self.omega0 = devices[bus], bus, system.omega0
         # the eigen oracle's energy Hessian is size x size, the condition matrix smaller
         self.size = system.n_states + 2 * system.n_bus
-        self.certifiable = terms.ops is not None
-        if not self.certifiable:
+        try:
+            residual = _check_balance(system, flow)
+        except CertificateError:
+            self.certifiable = False
             return
-        self.theta, self.op = float(terms.theta[bus]), terms.ops[bus]
-        self.nh, self.Z = terms.nh, terms.Z
-        others = {i: terms.device(i, dev, self.omega0)
+        n = system.n_bus
+        ops = [system.operating_point(flow, i) for i in range(n)]
+        self.theta, self.op = float(flow.theta[bus]), ops[bus]
+        self.nh = network_hessian(flow.theta, flow.V, system.net.B)
+        self.Z = _complement_basis(structural_null_vector(n))
+        others = {i: _device_terms(dev, float(flow.theta[i]), ops[i], self.omega0)
                   for i, dev in enumerate(devices) if i != bus}
         # certificate: each point sets the swept bus's coefficient and stiffness block
         self.gens = [i for i, dev in enumerate(devices) if not isinstance(dev, ConstantPowerLoad)]
         self.col = self.gens.index(bus)
         gammas = [np.nan if i == bus else others[i][0] for i in self.gens]
-        if None in gammas:
-            self.certifiable = False
+        self.certifiable = None not in gammas
+        if not self.certifiable:
             return
         self.gammas = np.array(gammas)
         blocks = [np.zeros((2, 2)) if i == bus else others[i][1] for i in range(len(devices))]
@@ -165,7 +112,7 @@ class _Sweep:
         self.states = slices[bus]
         self.energy = ([], np.zeros((n_x, self.nh.shape[0])), self.nh.copy())
         self.R = np.zeros((n_x, n_x))
-        self.equilibrium = (_residual_error(terms.residual) is None
+        self.equilibrium = (_residual_error(residual) is None
                             and all(pair is not None for _, _, pair in others.values()))
         if self.equilibrium:
             for i, (_, _, (hessian, damping)) in others.items():
@@ -216,7 +163,7 @@ class _Sweep:
             blocks[:, self.bus] = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
             M = np.repeat(self.nh[None], matrix.size, axis=0)
             _add_stiffness(M, blocks, range(blocks.shape[1]))
-            lam = _deflated_eigh(self.Z.T @ M @ self.Z)[0]
+            lam = _deflated_eigh([M, self.Z])[0]
             verdicts[matrix], min_eigs[matrix] = _band(lam, "stable"), lam.tolist()
         out[0][points], out[2][points] = verdicts, min_eigs
 
@@ -243,6 +190,31 @@ def _settle(out, column, evaluate, points, *stacks):
         half = len(points) // 2
         for part in (slice(None, half), slice(half, None)):
             _settle(out, column, evaluate, points[part], *(stack[part] for stack in stacks))
+
+
+def _device_terms(dev, theta, op, omega0):
+    """(synchronizing coefficient, stiffness block, energy Hessian and damping block) of `dev`
+    at its bus.
+
+    Each is None where the call behind it raises: the coefficient (which a
+    load does not have) and the stiffness block where the device leaves its
+    capability region, the stiffness block also where the coefficient is
+    <= 0, and the Hessian and damping pair where the device has no
+    stationary state.
+    """
+    gamma = block = blocks = None
+    try:
+        if not isinstance(dev, ConstantPowerLoad):
+            gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
+        block = _stiffness_block(dev, op)
+    except (CertificateError, CapabilityError):
+        pass
+    try:
+        hessian, damping, holds = _device_blocks(dev, theta, op, omega0)
+        blocks = (hessian, damping) if holds else None
+    except ValueError:  # capability, or a load the flow does not match
+        pass
+    return gamma, block, blocks
 
 
 def _device_blocks(dev, theta, op, omega0):

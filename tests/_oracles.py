@@ -12,6 +12,7 @@ import numpy as np
 
 import gridcert as gc
 from gridcert import simulation
+from gridcert.certificate import _complement_basis
 from gridcert.linearization import assemble_energy_hessian
 from gridcert.network import network_hessian
 from gridcert.simulation import algebraic_residual
@@ -151,6 +152,28 @@ def energy_hessian_reference(system, eq):
         H[bus, states] += Hd[k:, :k]
         H[bus, bus] += Hd[k:, k:]
     return H
+
+
+def condition_matrix(system, flow):
+    """The certificate's condition matrix: the network Hessian plus each bus's stiffness block."""
+    M = network_hessian(flow.theta, flow.V, system.net.B)
+    for i, dev in enumerate(system.devices):
+        op = system.operating_point(flow, i)
+        M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
+            gc.load_stiffness_block(dev.Q_ref, op.V) if dev.kind == "load"
+            else gc.bus_stiffness_block(op, dev.X_d, dev.X_q))
+    return M
+
+
+def certify_reference(M):
+    """Smallest eigenvalue and eigenvector of M off the uniform phase shift, as first written.
+
+    One expression forms Z^T M Z with every array alive; `certify`'s min_eig
+    and witness, and `deflated_min_eig`, must reproduce these bits.
+    """
+    Z = _complement_basis(gc.structural_null_vector(M.shape[0] // 2))
+    vals, vecs = np.linalg.eigh(Z.T @ M @ Z)
+    return float(vals[0]), Z @ vecs[:, 0]
 
 
 def voltage_regular(system, eq, margin=1e-6):

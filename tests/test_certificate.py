@@ -9,6 +9,7 @@ from gridcert.certificate import (
     CertificateError,
     bus_stiffness_block,
     certify,
+    deflated_min_eig,
     load_stiffness_block,
     network_hessian,
     structural_null_vector,
@@ -17,7 +18,15 @@ from gridcert.certificate import (
 from gridcert.devices import OperatingPoint, reduced_stiffness_blocks
 from gridcert.linearization import eigenvalue_verdict
 
-from _oracles import fd_hessian, random_operating_point, random_system, solved, three_bus_doc
+from _oracles import (
+    certify_reference,
+    condition_matrix,
+    fd_hessian,
+    random_operating_point,
+    random_system,
+    solved,
+    three_bus_doc,
+)
 
 BUS1 = OperatingPoint(V=1.0, P=1.0, Q=0.2886)
 
@@ -170,6 +179,30 @@ class TestCertify:
             assert np.max(np.abs(M - M.T)) < 1e-12
             assert report.null_residual == np.max(np.abs(M @ structural_null_vector(3)))
             assert report.null_residual < 1e-10
+
+    def test_deflation_equals_reference_bit_for_bit(self):
+        cfg = gc.apply_load_mode(gc.parse_config(three_bus_doc(x3=(4.0, 4.0))), "following")
+        cases = [(solved(cfg), cfg.system)]
+        rng = np.random.default_rng(18)
+        while len(cases) < 6:
+            drawn = random_system(rng, n_bus=12)
+            if drawn is not None and certify(drawn[1], drawn[0]).min_eig is not None:
+                cases.append(drawn[::-1])
+        verdicts = []
+        for flow, system in cases:
+            M = condition_matrix(system, flow)
+            null_unit = structural_null_vector(system.n_bus)
+            min_eig, vector = certify_reference(M)
+            report = certify(flow, system)
+            eig, eigvector = deflated_min_eig(M, null_unit)
+            assert report.min_eig == eig == min_eig
+            assert np.array_equal(eigvector, vector)
+            assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
+            assert abs(vector @ null_unit) < 1e-12
+            if report.verdict == "unstable":
+                assert np.array_equal(report.witness, vector)
+            verdicts.append(report.verdict)
+        assert set(verdicts) == {"unstable"}  # so every case compared a witness
 
     def test_phase_shift_invariance_of_verdict(self):
         cfg = gc.parse_config(three_bus_doc())

@@ -80,6 +80,14 @@ class TestPowerflow:
         assert code == 0
         assert out_path.read_text() == out
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, three_bus_path):
+        out_path = tmp_path / "missing" / "table.txt"
+        code, out, err = run(capsys, ["powerflow", "--config", three_bus_path,
+                                      "--no-timestamp", "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()
+
 
 class TestCertify:
     def test_stable_fixture_json_and_exit(self, capsys, three_bus_path):
@@ -143,6 +151,10 @@ class TestCertify:
         (("lines", 0, "b"), "false", "lines[0]: key 'b' must be a number, not bool"),
         (("lines", 1, "to"), "true", "lines[1]: key 'to' has wrong type bool"),
         (("buses", 0, "id"), "true", "buses[0]: key 'id' has wrong type bool"),
+        # "lines" may be absent, but where present it must be a list
+        (("lines",), "null", "config: key 'lines' has wrong type NoneType"),
+        (("lines",), "5", "config: key 'lines' has wrong type int"),
+        (("lines",), '"ab"', "config: key 'lines' has wrong type str"),
     ]
 
     @pytest.mark.parametrize("path, literal, message", BAD_NUMBERS)

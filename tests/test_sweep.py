@@ -5,8 +5,8 @@ test_cli.py; these tests cover what those grids cannot reach: the verdicts
 do not depend on where the grid is cut into stacks, a stack never holds more
 points than its memory bound allows, a stack a kernel rejects is halved until
 the rejected point stands alone, a clean stack is evaluated by one stacked
-call per kernel, and what the flow alone fixes is computed once for both
-load modes. The kernels the sweep shares with `certify` and
+call per kernel, and what the flow alone fixes is computed once per load
+mode. The kernels the sweep shares with `certify` and
 `eigenvalue_verdict` are tested beside them, in test_certificate.py and
 test_linearization.py.
 """
@@ -219,19 +219,23 @@ def test_stacks_stay_bounded_on_a_large_system(monkeypatch):
     assert sizes and max(sizes) == bound  # 12 points take several stacks, the first full
 
 
-def test_two_modes_share_the_flow_terms(capsys, monkeypatch):
-    # the balance check's power_balance and the network Hessian serve both load modes
-    calls = {"network_hessian": 0, "power_balance": 0}
-    for module, name in ((sweep, "network_hessian"), (system_module, "power_balance")):
-        def counting(*args, _original=getattr(module, name), _name=name):
+def test_flow_terms_once_per_mode(capsys, monkeypatch):
+    # the balance check's power_balance and the network Hessian run once per load mode, never
+    # per stack or point
+    calls = {"network_hessian": 0, "power_balance": 0, "evaluate": 0}
+    for owner, name in ((sweep, "network_hessian"), (system_module, "power_balance"),
+                        (sweep._Sweep, "evaluate")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
+    # 2 points a stack in both modes (energy Hessians 14 x 14 and 12 x 12): 5 stacks per mode
+    monkeypatch.setattr(sweep, "_STACK_ENTRIES", 2 * 14**2)
     argv = ["sweep", "--config", str(gc.fixture_path("three_bus.json")), "--sweep-bus", "3",
-            "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2", "--no-timestamp"]
+            "--xd-range", "0.1:4:3", "--xq-range", "0.1:4:3", "--no-timestamp"]
     assert cli.main(argv) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 9  # header, then 4 points per mode
-    assert calls == {"network_hessian": 1, "power_balance": 1}
+    assert len(capsys.readouterr().out.splitlines()) == 19  # header, then 9 points per mode
+    assert calls == {"network_hessian": 2, "power_balance": 2, "evaluate": 10}
 
 
 def test_min_eig_equals_certify_bit_for_bit(fixture_cfg):
