@@ -9,7 +9,8 @@ synchronous reactances and the network susceptance matrix:
   positive semidefinite on the complement of the uniform-phase-shift
   direction.
 
-Verdicts are stable / unstable / marginal; the rotational zero mode is
+One rule, shared with the reactance sweep, gives each bus's terms: a load
+has a block and no coefficient, and must draw the flow's (P, Q). Verdicts are stable / unstable / marginal; the rotational zero mode is
 deflated by projection before the eigenvalue test so it cannot mask genuine
 negative modes. Each decision of the test is made by one kernel on a stack of
 points, which `certify` runs on a stack of one and the reactance sweep on a
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import CapabilityError, ConstantPowerLoad, _any, _cos_sin, _sq, internal_phase
+from .devices import ConstantPowerLoad, _any, _cos_sin, _sq, internal_phase
 from .network import network_hessian
 
 __all__ = [
@@ -161,11 +162,19 @@ def _check_balance(system, flow):
     return residual
 
 
-def _stiffness_block(dev, op):
-    """2x2 (theta, V) stiffness block of the device at a bus."""
+def _bus_terms(dev, theta, op):
+    """Synchronizing coefficient and 2x2 (theta, V) stiffness block of the device at a bus.
+
+    A load has no coefficient and must draw the flow's (P, Q) (its stationary
+    check raises ValueError otherwise). A source raises CapabilityError off its
+    capability region, and has no block where its coefficient is not positive
+    and finite: the coefficient gate decides there.
+    """
     if isinstance(dev, ConstantPowerLoad):
-        return load_stiffness_block(dev.Q_ref, op.V)
-    return bus_stiffness_block(op, dev.X_d, dev.X_q)
+        dev.stationary_state(theta, op)
+        return None, load_stiffness_block(dev.Q_ref, op.V)
+    gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
+    return gamma, bus_stiffness_block(op, dev.X_d, dev.X_q) if 0 < gamma < np.inf else None
 
 
 def _gamma_gate(G, ids):
@@ -174,11 +183,10 @@ def _gamma_gate(G, ids):
     return _band(G.min(axis=1), None), [ids[j] for j in np.argmin(G, axis=1)]
 
 
-def _add_stiffness(M, blocks, ids):
-    """Add blocks[k, i] (bus ids[i]) to its diagonal block of M[k] in place, if all are finite."""
-    _check_finite(blocks[:, :, 1, 1], ids, "(V, V) stiffness")
-    for i in range(blocks.shape[1]):
-        M[:, 2 * i:2 * i + 2, 2 * i:2 * i + 2] += blocks[:, i]
+def _add_stiffness(M, block, i, bus_id):
+    """Add bus i's (id `bus_id`) stiffness block, or a stack of them, into M in place, if finite."""
+    _check_finite(block[..., 1, 1].reshape(-1, 1), [bus_id], "(V, V) stiffness")
+    M[..., 2 * i:2 * i + 2, 2 * i:2 * i + 2] += block
 
 
 def _check_finite(values, ids, name):
@@ -244,18 +252,17 @@ def certify(flow, system, bus_ids=None):
     ids = list(bus_ids) if bus_ids is not None else list(range(n))
     _check_balance(system, flow)
 
-    ops = [system.operating_point(flow, i) for i in range(n)]
-    gammas = {ids[i]: synchronizing_coefficient(op, dev.X_d, dev.X_q)
-              for i, (dev, op) in enumerate(zip(system.devices, ops))
-              if not isinstance(dev, ConstantPowerLoad)}
+    terms = [_bus_terms(dev, float(flow.theta[i]), system.operating_point(flow, i))
+             for i, dev in enumerate(system.devices)]
+    gammas = {ids[i]: gamma for i, (gamma, _) in enumerate(terms) if gamma is not None}
     if gammas:
         verdicts, worst = _gamma_gate(np.array([list(gammas.values())]), list(gammas))
         if verdicts[0] is not None:
             return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
     M = network_hessian(flow.theta, flow.V, system.net.B)
-    blocks = np.array([_stiffness_block(dev, ops[i]) for i, dev in enumerate(system.devices)])
-    _add_stiffness(M[None], blocks[None], ids)
+    for i, (_, block) in enumerate(terms):
+        _add_stiffness(M, block, i, ids[i])
 
     null_unit = structural_null_vector(n)
     null_residual = float(np.max(np.abs(M @ null_unit)))

@@ -159,7 +159,7 @@ def _parse_range(flag, text):
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
-        raise ConfigError(f"range must be 'a:b:n', got {text!r}") from exc
+        raise ConfigError(f"{flag} must be 'a:b:n', got {text!r}") from exc
     if not (0 < a < math.inf and 0 < b < math.inf) or n < 1:
         raise ConfigError(f"{flag} endpoints must be positive and finite and n >= 1, got {text!r}")
     return np.linspace(a, b, n)

@@ -16,8 +16,8 @@ A config document looks like::
     }
 
 Device kinds: two_axis, vsg, fdc, load. Bus spec types: slack (theta, V),
-pv (P, V), pq (P, Q); exactly one slack. All values per-unit, angles in
-radians; every number must be finite (no Infinity, NaN or 1e400).
+pv (P, V), pq (P, Q); exactly one slack, and V > 0. All values per-unit,
+angles in radians; every number must be finite (no Infinity, NaN or 1e400).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .devices import OMEGA0_DEFAULT, ConstantPowerLoad, _real, device_from_dict
@@ -73,13 +72,17 @@ def _number(doc, key, where, default=None):
 
 def _parse_spec(doc, where):
     kind = _get(doc, "type", where, str)
-    if kind == "slack":
-        return Slack(theta=_number(doc, "theta", where, 0.0), V=_number(doc, "V", where, 1.0))
-    if kind == "pv":
-        return PV(P=_number(doc, "P", where), V=_number(doc, "V", where))
     if kind == "pq":
         return PQ(P=_number(doc, "P", where), Q=_number(doc, "Q", where))
-    raise ConfigError(f"{where}: unknown bus spec type {kind!r}")
+    if kind == "slack":
+        spec = Slack(theta=_number(doc, "theta", where, 0.0), V=_number(doc, "V", where, 1.0))
+    elif kind == "pv":
+        spec = PV(P=_number(doc, "P", where), V=_number(doc, "V", where))
+    else:
+        raise ConfigError(f"{where}: unknown bus spec type {kind!r}")
+    if not spec.V > 0:
+        raise ConfigError(f"{where}: key 'V' must be positive, got {spec.V}")
+    return spec
 
 
 def parse_config(doc):
@@ -152,9 +155,7 @@ def load_config(path):
 
 def fixture_path(name):
     """Filesystem path of a bundled fixture config (e.g. 'three_bus.json')."""
-    ref = resources.files("gridcert") / "fixtures" / name
-    with resources.as_file(ref) as p:
-        return Path(p)
+    return Path(__file__).parent / "fixtures" / name
 
 
 def find_load_bus(cfg: LoadedConfig):

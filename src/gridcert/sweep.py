@@ -2,8 +2,10 @@
 
 Between grid points only the swept bus's device changes. The flow's balance
 check, operating points and network Hessian are computed once per sweep, and
-each other device's coefficient, stiffness block and energy blocks once per
-device. The grid is walked X_d-major and cut into stacks of at most
+each other bus's coefficient and stiffness block (by `certify`'s per-bus
+rule) and energy blocks once per bus. The other buses' stiffness blocks are
+added into the network Hessian once, so each point adds only its own. The
+grid is walked X_d-major and cut into stacks of at most
 max(1, _STACK_ENTRIES // size**2) points, `size` being the eigen oracle's
 energy-Hessian dimension, so memory stays bounded whatever the grid or the
 system; a stack may cross X_d rows. The swept device's closed
@@ -27,16 +29,16 @@ from .certificate import (
     CertificateError,
     _add_stiffness,
     _band,
+    _bus_terms,
     _check_balance,
     _complement_basis,
     _deflated_eigh,
     _gamma_gate,
-    _stiffness_block,
     bus_stiffness_block,
     structural_null_vector,
     synchronizing_coefficient,
 )
-from .devices import CapabilityError, ConstantPowerLoad, _capability
+from .devices import ConstantPowerLoad, _capability
 from .linearization import (
     DegenerateEquilibriumError,
     _add_device_block,
@@ -74,7 +76,9 @@ class _Sweep:
     """What the swept device does not change, and the evaluation of a stack.
 
     Nothing is certifiable where the flow fails the certificate's balance
-    check, which makes both verdicts infeasible at every point.
+    check, or where another bus's `_bus_terms` raises (a source off its
+    capability region, a load off the flow's (P, Q)); both verdicts are then
+    infeasible at every point.
     """
 
     def __init__(self, system, flow, bus):
@@ -82,42 +86,47 @@ class _Sweep:
         self.device, self.bus, self.omega0 = devices[bus], bus, system.omega0
         # the eigen oracle's energy Hessian is size x size, the condition matrix smaller
         self.size = system.n_states + 2 * system.n_bus
+        self.certifiable = False
         try:
             residual = _check_balance(system, flow)
         except CertificateError:
-            self.certifiable = False
             return
-        n = system.n_bus
+        n, n_x = system.n_bus, system.n_states
         ops = [system.operating_point(flow, i) for i in range(n)]
         self.theta, self.op = float(flow.theta[bus]), ops[bus]
-        self.nh = network_hessian(flow.theta, flow.V, system.net.B)
+        nh = network_hessian(flow.theta, flow.V, system.net.B)
         self.Z = _complement_basis(structural_null_vector(n))
-        others = {i: _device_terms(dev, float(flow.theta[i]), ops[i], self.omega0)
-                  for i, dev in enumerate(devices) if i != bus}
-        # certificate: each point sets the swept bus's coefficient and stiffness block
-        self.gens = [i for i, dev in enumerate(devices) if not isinstance(dev, ConstantPowerLoad)]
-        self.col = self.gens.index(bus)
-        gammas = [np.nan if i == bus else others[i][0] for i in self.gens]
-        self.certifiable = None not in gammas
-        if not self.certifiable:
-            return
-        self.gammas = np.array(gammas)
-        blocks = [np.zeros((2, 2)) if i == bus else others[i][1] for i in range(len(devices))]
-        # a coefficient <= 0 decides every point before the matrix
-        self.blocks = None if any(b is None for b in blocks) else np.array(blocks)
-
-        # eigenvalue oracle: energy Hessian blocks and damping matrix without the swept device
-        n_x = system.n_states
         slices = system.state_slices()
         self.states = slices[bus]
-        self.energy = ([], np.zeros((n_x, self.nh.shape[0])), self.nh.copy())
+        # eigenvalue oracle: energy Hessian blocks and damping matrix without the swept device
+        self.energy = ([], np.zeros((n_x, nh.shape[0])), nh.copy())
         self.R = np.zeros((n_x, n_x))
-        self.equilibrium = (_residual_error(residual) is None
-                            and all(pair is not None for _, _, pair in others.values()))
-        if self.equilibrium:
-            for i, (_, _, (hessian, damping)) in others.items():
-                _add_device_block(self.energy, hessian, slices[i], i)
-                self.R[slices[i], slices[i]] = damping
+        self.equilibrium = _residual_error(residual) is None
+        # certificate: each point sets the swept bus's coefficient (column 0) and adds its
+        # stiffness block to `fixed`, the network Hessian plus every other bus's block
+        self.gens, gammas, self.fixed = [bus], [np.nan], nh
+        for i, dev in enumerate(devices):
+            if i == bus:
+                continue
+            theta = float(flow.theta[i])
+            try:
+                gamma, block = _bus_terms(dev, theta, ops[i])
+            except ValueError:  # nothing is certifiable
+                return
+            if gamma is not None:
+                self.gens.append(i)
+                gammas.append(gamma)
+            # without a block, the coefficient gate decides every point before the matrix
+            if block is not None and self.fixed is not None:
+                try:
+                    _add_stiffness(self.fixed, block, i, i)
+                except CertificateError:  # every point the gate passes is infeasible
+                    self.fixed = None
+            hessian, damping, holds = _device_blocks(dev, theta, ops[i], self.omega0)
+            self.equilibrium = self.equilibrium and bool(holds)
+            _add_device_block(self.energy, hessian, slices[i], i)
+            self.R[slices[i], slices[i]] = damping
+        self.certifiable, self.gammas = True, np.array(gammas)
 
     def points(self, xd_values, xq_values):
         """(x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) over the grid, X_d-major,
@@ -154,15 +163,16 @@ class _Sweep:
 
     def _certify(self, out, points, gammas, xd, xq):
         G = np.repeat(self.gammas[None], len(points), axis=0)
-        G[:, self.col] = gammas
+        G[:, 0] = gammas
         verdicts = np.array(_gamma_gate(G, self.gens)[0], dtype=object)
         min_eigs = np.full(len(points), None, dtype=object)
         matrix = np.flatnonzero(np.equal(verdicts, None))  # what the condition matrix decides
-        if matrix.size:
-            blocks = np.repeat(self.blocks[None], matrix.size, axis=0)
-            blocks[:, self.bus] = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
-            M = np.repeat(self.nh[None], matrix.size, axis=0)
-            _add_stiffness(M, blocks, range(blocks.shape[1]))
+        if matrix.size and self.fixed is None:  # another bus's stiffness is not finite
+            verdicts[matrix] = "infeasible"
+        elif matrix.size:
+            M = np.repeat(self.fixed[None], matrix.size, axis=0)
+            block = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
+            _add_stiffness(M, block, self.bus, self.bus)
             lam = _deflated_eigh([M, self.Z])[0]
             verdicts[matrix], min_eigs[matrix] = _band(lam, "stable"), lam.tolist()
         out[0][points], out[2][points] = verdicts, min_eigs
@@ -190,31 +200,6 @@ def _settle(out, column, evaluate, points, *stacks):
         half = len(points) // 2
         for part in (slice(None, half), slice(half, None)):
             _settle(out, column, evaluate, points[part], *(stack[part] for stack in stacks))
-
-
-def _device_terms(dev, theta, op, omega0):
-    """(synchronizing coefficient, stiffness block, energy Hessian and damping block) of `dev`
-    at its bus.
-
-    Each is None where the call behind it raises: the coefficient (which a
-    load does not have) and the stiffness block where the device leaves its
-    capability region, the stiffness block also where the coefficient is
-    <= 0, and the Hessian and damping pair where the device has no
-    stationary state.
-    """
-    gamma = block = blocks = None
-    try:
-        if not isinstance(dev, ConstantPowerLoad):
-            gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
-        block = _stiffness_block(dev, op)
-    except (CertificateError, CapabilityError):
-        pass
-    try:
-        hessian, damping, holds = _device_blocks(dev, theta, op, omega0)
-        blocks = (hessian, damping) if holds else None
-    except ValueError:  # capability, or a load the flow does not match
-        pass
-    return gamma, block, blocks
 
 
 def _device_blocks(dev, theta, op, omega0):

@@ -213,7 +213,7 @@ def sweep_point(cfg, flow, bus_index, x_d, x_q):
         report = gc.certify(flow, system, bus_ids=cfg.bus_ids)
         v_cert = report.verdict
         min_eig = f"{report.min_eig:.12g}" if report.min_eig is not None else ""
-    except (gc.CapabilityError, gc.CertificateError):
+    except (ValueError, gc.CertificateError):  # CapabilityError, or a load off its flow
         return "infeasible", "infeasible", ""
     try:
         eq = system.equilibrium(flow)
@@ -382,6 +382,19 @@ def three_bus_doc(x3=(0.1, 0.069), M=0.2, D=1.0, tau_d=5.0, tau_q=1.0,
             {"id": 3, "device": dev3, "spec": {"type": "slack", "theta": 0.0, "V": 1.0}},
         ],
         "lines": [{"from": 1, "to": 2, "b": 40.0}, {"from": 2, "to": 3, "b": 45.0}],
+    }
+
+
+def off_flow_load_doc():
+    """Two-bus config whose bus 2 load draws Q = -3.0 where the flow leaves Q near 0.0125."""
+    return {
+        "buses": [
+            {"id": 1, "device": {"kind": "vsg", "M": 0.2, "D": 1.0, "X_d": 0.1, "X_q": 0.069},
+             "spec": {"type": "slack"}},
+            {"id": 2, "device": {"kind": "load", "P_ref": -0.5, "Q_ref": -3.0},
+             "spec": {"type": "pv", "P": -0.5, "V": 1.0}},
+        ],
+        "lines": [{"from": 1, "to": 2, "b": 10.0}],
     }
 
 

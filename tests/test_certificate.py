@@ -22,6 +22,7 @@ from _oracles import (
     certify_reference,
     condition_matrix,
     fd_hessian,
+    off_flow_load_doc,
     random_operating_point,
     random_system,
     solved,
@@ -274,6 +275,18 @@ class TestCertify:
                                    Q=flow.Q, residual=0.0, iterations=0)
         with pytest.raises(CertificateError, match="balance"):
             certify(bad, cfg.system)
+
+    def test_load_off_its_flow_rejected(self):
+        # the flow is balanced, but no equilibrium realizes it: the load draws another Q
+        cfg = gc.parse_config(off_flow_load_doc())
+        flow = solved(cfg)
+        with pytest.raises(ValueError) as cert_exc:
+            certify(flow, cfg.system)
+        with pytest.raises(ValueError) as eq_exc:
+            cfg.system.equilibrium(flow)
+        assert str(cert_exc.value) == str(eq_exc.value) == (
+            "constant-power load (-0.5, -3.0) cannot realize operating point "
+            f"(P={float(flow.P[1])}, Q={float(flow.Q[1])})")
 
     @pytest.mark.parametrize("x3, message", [
         ((1e-320, 0.069), "synchronizing coefficient at bus 3 is not finite (inf)"),

@@ -8,7 +8,14 @@ import gridcert as gc
 from gridcert import cli, devices
 from gridcert.cli import main
 
-from _oracles import TABLE1, random_system, sweep_point, three_bus_doc, voltage_regular
+from _oracles import (
+    TABLE1,
+    off_flow_load_doc,
+    random_system,
+    sweep_point,
+    three_bus_doc,
+    voltage_regular,
+)
 
 FIXTURE = str(gc.fixture_path("three_bus.json"))
 
@@ -155,6 +162,9 @@ class TestCertify:
         (("lines",), "null", "config: key 'lines' has wrong type NoneType"),
         (("lines",), "5", "config: key 'lines' has wrong type int"),
         (("lines",), '"ab"', "config: key 'lines' has wrong type str"),
+        # a slack or pv bus fixes a voltage magnitude, which must be positive
+        (("buses", 2, "spec", "V"), "-1", "buses[2].spec: key 'V' must be positive, got -1.0"),
+        (("buses", 0, "spec", "V"), "0", "buses[0].spec: key 'V' must be positive, got 0.0"),
     ]
 
     @pytest.mark.parametrize("path, literal, message", BAD_NUMBERS)
@@ -168,6 +178,74 @@ class TestCertify:
         config.write_text(json.dumps(doc).replace("12345.678", literal))
         code, out, err = run(capsys, ["certify", "--config", str(config), "--no-timestamp"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # (path to a value in three_bus_doc, value written there, message)
+    BAD_STRUCTURE = [
+        (("buses",), [], "config: at least one bus required"),
+        (("omega0",), 0, "config: omega0 must be positive"),
+        (("buses", 1), 5, "buses[1]: must be an object"),
+        (("buses", 1, "id"), 1, "buses[1]: duplicate bus id 1"),
+        (("buses", 0, "spec"), {"type": "pvq"}, "buses[0].spec: unknown bus spec type 'pvq'"),
+        (("lines", 0), 5, "lines[0]: must be an object"),
+        (("lines", 1, "to"), 9, "lines[1]: unknown bus id 9"),
+        (("lines",), [{"from": 1, "to": 2, "b": 40.0}],
+         "config: line graph is disconnected; unreachable buses [2]"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", BAD_STRUCTURE)
+    def test_bad_config_structure_exit_2(self, capsys, tmp_path, path, value, message):
+        doc = three_bus_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, out, err = run(capsys, ["certify", "--config", write_config(tmp_path, doc),
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config root must be an object"),
+        ("", "config {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    ])
+    def test_unreadable_config_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, ["certify", "--config", str(path), "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("mode, bus2, message", [
+        ("following", {"spec": {"type": "pq", "P": 0.5, "Q": 0.0}},
+         "load-mode switching needs exactly one PQ bus with P < 0, found 0"),
+        ("forming", {"device": {"kind": "load", "P_ref": -3.5, "Q_ref": -0.5}},
+         "grid-forming mode needs an inverter device (vsg/fdc) configured at the load bus"),
+    ])
+    def test_load_mode_without_its_bus_exit_2(self, capsys, tmp_path, mode, bus2, message):
+        doc = three_bus_doc()
+        doc["buses"][1].update(bus2)
+        code, out, err = run(capsys, ["certify", "--config", write_config(tmp_path, doc),
+                                      "--load-mode", mode, "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_load_off_its_flow_exit_2(self, capsys, tmp_path):
+        # certify rejects the load as the eigen oracle's equilibrium does, with its message
+        path = write_config(tmp_path, off_flow_load_doc())
+        code, out, err = run(capsys, ["certify", "--config", path, "--no-timestamp"])
+        code_eig, out_eig, err_eig = run(capsys, ["eigen", "--config", path, "--no-timestamp"])
+        assert (code, out) == (code_eig, out_eig) == (2, "")
+        cfg = gc.load_config(path)
+        flow = gc.solve_power_flow(cfg.system.net, cfg.bus_specs)
+        assert err == err_eig == ("error: constant-power load (-0.5, -3.0) cannot realize operating "
+                                  f"point (P={float(flow.P[1])}, Q={float(flow.Q[1])})\n")
+
+    def test_non_positive_slack_voltage_rejected_by_powerflow(self, capsys, tmp_path):
+        doc = three_bus_doc()
+        doc["buses"][2]["spec"]["V"] = -1.0
+        code, out, err = run(capsys, ["powerflow", "--config", write_config(tmp_path, doc),
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", "error: buses[2].spec: key 'V' must be positive, "
+                                           "got -1.0\n")
 
     @pytest.mark.parametrize("path, message", [
         (("buses", 0, "device"), "buses[0]: missing required key 'device'"),
@@ -333,6 +411,25 @@ class TestSimulate:
                                       "--perturb", "2=0.05", "--t-end", "0.01", "--no-timestamp"])
         assert (code, out, err) == (2, "", "error: bus id 2 hosts a load; nothing to perturb\n")
 
+    def test_malformed_perturb_exit_2(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--config", FIXTURE, "--perturb", "1:0.1",
+                                      "--t-end", "0.01", "--no-timestamp"])
+        assert (code, out, err) == (2, "", "error: --perturb expects BUS=RAD, got '1:0.1'\n")
+
+    def test_truncated_run_keeps_whole_samples(self, capsys):
+        # a 3 rad kick at bus 3 drives the voltage Newton out of its feasible region mid-run
+        code, out, err = run(capsys, ["simulate", "--config", FIXTURE, "--dt", "1e-3",
+                                      "--t-end", "0.5", "--perturb", "3=3.0", "--no-timestamp"])
+        assert code == 2
+        assert err == "truncated at t=0.165s: bus voltage iterate left the feasible region\n"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 166 * 3
+        samples = [rows[k:k + 3] for k in range(0, len(rows), 3)]
+        for sample in samples:  # every sample holds each bus once, at one time
+            assert [r[1] for r in sample] == ["1", "2", "3"]
+            assert len({r[0] for r in sample}) == 1
+        assert samples[-1][0][0] == "0.165"
+
     def test_unknown_perturb_bus_rejected(self, capsys, three_bus_path):
         code, _, err = run(capsys, ["simulate", "--config", three_bus_path,
                                     "--perturb", "9=0.05", "--t-end", "0.01"])
@@ -442,6 +539,36 @@ class TestSweep:
         code, out, err = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
                                       "--xd-range", text, "--xq-range", "0.1:1:2", "--no-timestamp"])
         assert (code, out, err) == (2, "", f"error: --xd-range endpoints must be positive and finite and n >= 1, got {text!r}\n")
+
+    def test_malformed_range_exit_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "3",
+                                      "--xd-range", "0.1:12", "--xq-range", "0.1:1:2",
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", "error: --xd-range must be 'a:b:n', got '0.1:12'\n")
+
+    def test_unknown_sweep_bus_exit_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--config", FIXTURE, "--sweep-bus", "7",
+                                      "--xd-range", "0.1:12:2", "--xq-range", "0.1:1:2",
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", "error: --sweep-bus references unknown bus id 7\n")
+
+    def test_non_finite_fixed_stiffness_is_certificate_infeasible(self, capsys, tmp_path):
+        # bus 1's VSG at a subnormal X_d and P = 0: its synchronizing coefficient is finite, its
+        # (V, V) stiffness is not, so every point the coefficients pass is infeasible
+        doc = three_bus_doc(kind1="vsg")
+        doc["buses"][0]["device"]["X_d"] = 1e-320
+        doc["buses"][0]["spec"] = {"type": "pv", "P": 0.0, "V": 1.0}
+        path = write_config(tmp_path, doc)
+        code, out, err = run(capsys, ["sweep", "--config", path, "--sweep-bus", "3",
+                                      "--xd-range", "0.1:1:2", "--xq-range", "0.069:0.5:2",
+                                      "--load-mode", "forming", "--no-timestamp"])
+        assert (code, err) == (0, "")
+        rows = [row.split(",")[3:] for row in out.splitlines()[1:]]
+        assert rows == [["infeasible", "infeasible", ""]] * 4
+        cfg = gc.apply_load_mode(gc.load_config(path), "forming")
+        flow = gc.solve_power_flow(cfg.system.net, cfg.bus_specs)
+        assert rows == [list(sweep_point(cfg, flow, 2, x_d, x_q))
+                        for x_d in (0.1, 1.0) for x_q in (0.069, 0.5)]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_point_keeps_the_sweep(self, capsys):

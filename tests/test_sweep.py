@@ -132,6 +132,22 @@ def test_uncertifiable_bus_makes_every_point_infeasible():
     assert rows == expected == [("infeasible", "infeasible", "")] * 4
 
 
+def test_load_off_its_flow_makes_every_point_infeasible():
+    doc = three_bus_doc()
+    # bus 2's load draws Q = -3.0 where the flow's pq spec sets -0.5
+    doc["buses"][1]["device"] = {"kind": "load", "P_ref": -3.5, "Q_ref": -3.0}
+    rows, expected = _rows_and_oracle(gc.parse_config(doc), 2, [0.1, 4.0], [0.069, 4.0])
+    assert rows == expected == [("infeasible", "infeasible", "")] * 4
+
+
+def test_unbalanced_flow_makes_every_point_infeasible(fixture_cfg):
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    flow = solved(cfg)
+    unbalanced = dataclasses.replace(flow, P=flow.P + 0.5)
+    rows = list(sweep_verdicts(cfg.system, unbalanced, 2, [0.1, 4.0], [0.069]))
+    assert [row[2:] for row in rows] == [("infeasible", "infeasible", None)] * 2
+
+
 def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
     # bus 3's VSG has no stationary state at these reactances; the certificate needs none
     cfg = gc.parse_config(three_bus_doc(x3=(1e-6, 5e5)))
