@@ -18,6 +18,7 @@ A config document looks like::
 Device kinds: two_axis, vsg, fdc, load. Bus spec types: slack (theta, V),
 pv (P, V), pq (P, Q); exactly one slack, and V > 0. All values per-unit,
 angles in radians; every number must be finite (no Infinity, NaN or 1e400).
+A key outside this schema is an error at every level.
 """
 
 from __future__ import annotations
@@ -70,16 +71,29 @@ def _number(doc, key, where, default=None):
     return value
 
 
+def _known(doc, keys, where):
+    """Raise on the keys of `doc` outside the set `keys`, in document order."""
+    if not keys.issuperset(doc):
+        raise ConfigError(f"{where}: unexpected keys {[key for key in doc if key not in keys]}")
+
+
+_ROOT_KEYS = {"omega0", "buses", "lines"}
+_BUS_KEYS = {"id", "device", "spec"}
+_LINE_KEYS = {"from", "to", "b"}
+_SPEC_KEYS = {"slack": {"type", "theta", "V"}, "pv": {"type", "P", "V"}, "pq": {"type", "P", "Q"}}
+
+
 def _parse_spec(doc, where):
     kind = _get(doc, "type", where, str)
+    if kind not in _SPEC_KEYS:
+        raise ConfigError(f"{where}: unknown bus spec type {kind!r}")
+    _known(doc, _SPEC_KEYS[kind], where)
     if kind == "pq":
         return PQ(P=_number(doc, "P", where), Q=_number(doc, "Q", where))
     if kind == "slack":
         spec = Slack(theta=_number(doc, "theta", where, 0.0), V=_number(doc, "V", where, 1.0))
-    elif kind == "pv":
-        spec = PV(P=_number(doc, "P", where), V=_number(doc, "V", where))
     else:
-        raise ConfigError(f"{where}: unknown bus spec type {kind!r}")
+        spec = PV(P=_number(doc, "P", where), V=_number(doc, "V", where))
     if not spec.V > 0:
         raise ConfigError(f"{where}: key 'V' must be positive, got {spec.V}")
     return spec
@@ -89,6 +103,7 @@ def parse_config(doc):
     """Validate a config mapping and build the PowerSystem and bus specs."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    _known(doc, _ROOT_KEYS, "config")
     buses = _get(doc, "buses", "config", list)
     if not buses:
         raise ConfigError("config: at least one bus required")
@@ -104,6 +119,7 @@ def parse_config(doc):
         where = f"buses[{k}]"
         if not isinstance(bus, dict):
             raise ConfigError(f"{where}: must be an object")
+        _known(bus, _BUS_KEYS, where)
         bus_id = _get(bus, "id", where, int)
         if bus_id in index:
             raise ConfigError(f"{where}: duplicate bus id {bus_id}")
@@ -124,6 +140,7 @@ def parse_config(doc):
         where = f"lines[{k}]"
         if not isinstance(ln, dict):
             raise ConfigError(f"{where}: must be an object")
+        _known(ln, _LINE_KEYS, where)
         fr = _get(ln, "from", where, int)
         to = _get(ln, "to", where, int)
         for end in (fr, to):

@@ -168,6 +168,9 @@ class _Source:
         I_d = (E_q - V_q)/x_d,   I_q = (V_d - E_d)/x_q
 
     and the reactances store U = (V_d - E_d)^2/(2 x_q) + (E_q - V_q)^2/(2 x_d).
+    Derivatives are stated once, over the bus's (theta, V), as the voltage
+    Newton reads them. U depends on delta and theta only through a, so every
+    delta entry is the exact negation of its theta entry (signed zeros too).
     The two-axis machine passes its states (E_q, E_d) and transient
     reactances, the grid-forming inverters (V_fd, 0) and their synchronous
     ones. Phasor and currents are evaluated once, on construction; the
@@ -183,8 +186,7 @@ class _Source:
     def __init__(self, a, V, E_q, E_d, x_d, x_q):
         self.E_q, self.E_d, self.x_d, self.x_q = E_q, E_d, x_d, x_q
         # `_cos_sin` and `_sq` inlined: the voltage Newton builds a source per device and
-        # iterate, and every one of them needs these squares, through power() or
-        # second_derivatives()
+        # iterate, and every one of them needs these squares, through power() or bus_block()
         row = a.__class__ is np.ndarray
         self.c, self.s = c, s = (np.cos(a), np.sin(a)) if row else (math.cos(a), math.sin(a))
         self.vq, self.vd = vq, vd = V * c, V * s
@@ -204,30 +206,16 @@ class _Source:
         """(q-axis, d-axis) terms of U, summed by each device in its own fixed order."""
         return (self.vd - self.E_d) ** 2 / (2 * self.x_q), (self.E_q - self.vq) ** 2 / (2 * self.x_d)
 
-    def angle_gradient(self):
-        """(dU/ddelta, dU/dV); dU/dtheta is the negation of dU/ddelta."""
-        return self.I_q * self.vq + self.I_d * self.vd, self.I_q * self.s - self.I_d * self.c
-
     def bus_gradient(self):
         """(dU/dtheta, dU/dV): the source's term in the voltage Newton residual."""
-        dU_ddelta, dU_dV = self.angle_gradient()
-        return -dU_ddelta, dU_dV
-
-    def second_derivatives(self):
-        """(d2U/ddelta2, d2U/ddelta dV, d2U/dV2).
-
-        Since U depends on delta and theta only through a = delta - theta,
-        these give every entry of the Hessian over (delta, theta, V).
-        """
-        c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
-        h_dd = self.vq2 / x_q + self.vd2 / x_d + self.I_d * vq - self.I_q * vd
-        h_dV = s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s
-        return h_dd, h_dV, self.s2 / x_q + self.c2 / x_d
+        return -(self.I_q * self.vq + self.I_d * self.vd), self.I_q * self.s - self.I_d * self.c
 
     def bus_block(self):
         """(theta, theta), (theta, V) and (V, V) entries of U's Hessian over the bus's (theta, V)."""
-        h_dd, h_dV, h_VV = self.second_derivatives()
-        return h_dd, -h_dV, h_VV
+        c, s, vq, vd, x_d, x_q = self.c, self.s, self.vq, self.vd, self.x_d, self.x_q
+        h_tt = self.vq2 / x_q + self.vd2 / x_d + self.I_d * vq - self.I_q * vd
+        h_tV = -(s * vq / x_q - c * vd / x_d + self.I_q * c + self.I_d * s)
+        return h_tt, h_tV, self.s2 / x_q + self.c2 / x_d
 
     def hessian(self, size):
         """size x size matrix holding the Hessian of U over (delta, theta, V).
@@ -236,12 +224,12 @@ class _Source:
         any coordinates in between are left zero. A (..., size, size) stack
         over a stack of devices.
         """
-        h_dd, h_dV, h_VV = self.second_derivatives()
-        H = np.zeros(np.shape(h_dd) + (size, size))
-        H[..., 0, 0] = H[..., -2, -2] = h_dd
-        H[..., 0, -2] = H[..., -2, 0] = -h_dd
-        H[..., 0, -1] = H[..., -1, 0] = h_dV
-        H[..., -2, -1] = H[..., -1, -2] = -h_dV
+        h_tt, h_tV, h_VV = self.bus_block()
+        H = np.zeros(np.shape(h_tt) + (size, size))
+        H[..., 0, 0] = H[..., -2, -2] = h_tt
+        H[..., 0, -2] = H[..., -2, 0] = -h_tt
+        H[..., 0, -1] = H[..., -1, 0] = -h_tV
+        H[..., -2, -1] = H[..., -1, -2] = h_tV
         H[..., -1, -1] = h_VV
         return H
 
@@ -432,13 +420,13 @@ class TwoAxisGenerator(Device):
 
     def energy_gradient(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         src = self._source(state, theta, V, setpoint)
-        dU_ddelta, dU_dV = src.angle_gradient()
+        dU_dtheta, dU_dV = src.bus_gradient()
         return np.array([
-            dU_ddelta,
+            -dU_dtheta,
             omega0 * self.M * state[1],
             state[2] / (self.X_d - self.X_d_prime) + src.I_d,
             state[3] / (self.X_q - self.X_q_prime) - src.I_q,
-            -dU_ddelta,
+            dU_dtheta,
             dU_dV,
         ])
 
@@ -517,8 +505,8 @@ class VsgInverter(_GridFormingBase):
         return omega0 * self.M * state[1] ** 2 / 2 + (U_q + U_d)
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        dU_ddelta, dU_dV = self._source(state, theta, V, setpoint).angle_gradient()
-        return np.array([dU_ddelta, omega0 * self.M * state[1], -dU_ddelta, dU_dV])
+        dU_dtheta, dU_dV = self._source(state, theta, V, setpoint).bus_gradient()
+        return np.array([-dU_dtheta, omega0 * self.M * state[1], dU_dtheta, dU_dV])
 
     def energy_hessian(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         H = self._source(state, theta, V, setpoint).hessian(4)
@@ -553,8 +541,8 @@ class DroopInverter(_GridFormingBase):
         return sum(src.potential())
 
     def energy_gradient(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
-        dU_ddelta, dU_dV = self._source(state, theta, V, setpoint).angle_gradient()
-        return np.array([dU_ddelta, -dU_ddelta, dU_dV])
+        dU_dtheta, dU_dV = self._source(state, theta, V, setpoint).bus_gradient()
+        return np.array([-dU_dtheta, dU_dtheta, dU_dV])
 
     def energy_hessian(self, state, theta, V, setpoint, omega0=OMEGA0_DEFAULT):
         return self._source(state, theta, V, setpoint).hessian(3)

@@ -93,18 +93,24 @@ def build_susceptance(n_bus, lines):
     Off-diagonal entries are the (summed) line susceptances, diagonal entries
     the negated row sums, so -B is the weighted graph Laplacian. Parallel
     lines between the same pair add up. Raises if any bus index is out of
-    range or the line graph does not connect all buses.
+    range, a bus's line susceptances do not sum to a finite value or the
+    line graph does not connect all buses.
     """
     if n_bus < 1:
         raise ValueError("network needs at least one bus")
     B = np.zeros((n_bus, n_bus))
-    for ln in lines:
-        if not (0 <= ln.from_bus < n_bus and 0 <= ln.to_bus < n_bus):
-            raise ValueError(f"line {ln.from_bus}--{ln.to_bus} references a bus outside 0..{n_bus - 1}")
-        B[ln.from_bus, ln.to_bus] += ln.b
-        B[ln.to_bus, ln.from_bus] += ln.b
-    np.fill_diagonal(B, 0.0)
-    np.fill_diagonal(B, -B.sum(axis=1))
+    with np.errstate(over="ignore"):  # finite susceptances can sum past the float range
+        for ln in lines:
+            if not (0 <= ln.from_bus < n_bus and 0 <= ln.to_bus < n_bus):
+                raise ValueError(f"line {ln.from_bus}--{ln.to_bus} references a bus outside 0..{n_bus - 1}")
+            B[ln.from_bus, ln.to_bus] += ln.b
+            B[ln.to_bus, ln.from_bus] += ln.b
+        np.fill_diagonal(B, 0.0)
+        row_sums = B.sum(axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(row_sums))
+    if overflowed.size:
+        raise ValueError(f"line susceptances at bus {overflowed[0]} do not sum to a finite value")
+    np.fill_diagonal(B, -row_sums)
     _check_connected(n_bus, B)
     return B
 
@@ -402,24 +408,26 @@ def solve_power_flow(net, bus_specs):
     n_th = theta_rows.size
 
     residual = np.inf
-    for it in range(_FLOW_MAX_ITER + 1):
-        terms = _angle_terms(theta, V, net.B)  # the one pass of this iterate
-        P, Q = _balance(*terms)
-        mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows], Q_set[v_rows] - Q[v_rows]])
-        residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
-        if not np.isfinite(residual):
-            raise PowerFlowError(f"power flow diverged at iteration {it} (non-finite residual)")
-        if residual <= _FLOW_TOL:
-            return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
-        if it == _FLOW_MAX_ITER:
-            break
-        J = _jacobian(V, Q, _hessian_blocks(theta, V, net.B, terms), theta_rows, v_rows)
-        try:
-            step = np.linalg.solve(J, mismatch)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowError(f"singular power flow Jacobian at iteration {it}") from exc
-        theta[theta_rows] += step[:n_th]
-        V[v_rows] += step[n_th:]
+    # a diverging iterate overflows; the non-finite residual check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(_FLOW_MAX_ITER + 1):
+            terms = _angle_terms(theta, V, net.B)  # the one pass of this iterate
+            P, Q = _balance(*terms)
+            mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows], Q_set[v_rows] - Q[v_rows]])
+            residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+            if not np.isfinite(residual):
+                raise PowerFlowError(f"power flow diverged at iteration {it} (non-finite residual)")
+            if residual <= _FLOW_TOL:
+                return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
+            if it == _FLOW_MAX_ITER:
+                break
+            J = _jacobian(V, Q, _hessian_blocks(theta, V, net.B, terms), theta_rows, v_rows)
+            try:
+                step = np.linalg.solve(J, mismatch)
+            except np.linalg.LinAlgError as exc:
+                raise PowerFlowError(f"singular power flow Jacobian at iteration {it}") from exc
+            theta[theta_rows] += step[:n_th]
+            V[v_rows] += step[n_th:]
 
     raise PowerFlowError(
         f"power flow did not converge in {_FLOW_MAX_ITER} iterations "

@@ -87,6 +87,25 @@ class TestPowerflow:
         assert code == 0
         assert out_path.read_text() == out
 
+    # (path to a value in three_bus_doc, value written there, failure of the Newton power flow)
+    FLOW_FAILURES = [
+        # B[1, 1] = -(1e300 + 45) rounds to -1e300, so the Jacobian loses bus 3's line
+        (("lines", 0, "b"), 1e300, "singular power flow Jacobian at iteration 0"),
+        (("buses", 1, "spec", "Q"), 1e306, "power flow diverged at iteration 1 (non-finite residual)"),
+    ]
+
+    @pytest.mark.parametrize("command", ["powerflow", "certify", "eigen", "simulate"])
+    @pytest.mark.parametrize("path, value, message", FLOW_FAILURES)
+    def test_power_flow_failure_exit_2(self, capfd, tmp_path, command, path, value, message):
+        doc = three_bus_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code = main([command, "--config", write_config(tmp_path, doc), "--no-timestamp"])
+        out, err = capfd.readouterr()  # nothing from numpy or LAPACK either
+        assert (code, out, err) == (2, "", f"error: power flow failed: {message}\n")
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path, three_bus_path):
         out_path = tmp_path / "missing" / "table.txt"
         code, out, err = run(capsys, ["powerflow", "--config", three_bus_path,
@@ -190,6 +209,17 @@ class TestCertify:
         (("lines", 1, "to"), 9, "lines[1]: unknown bus id 9"),
         (("lines",), [{"from": 1, "to": 2, "b": 40.0}],
          "config: line graph is disconnected; unreachable buses [2]"),
+        # each line is finite, their sum at bus position 1 (id 2) is not
+        (("lines",), [{"from": 1, "to": 2, "b": 1.7e308}, {"from": 2, "to": 3, "b": 1.7e308}],
+         "config: line susceptances at bus 1 do not sum to a finite value"),
+        # a key outside the schema is rejected at every level, not dropped
+        (("line",), [], "config: unexpected keys ['line']"),
+        (("buses", 1, "devcie"), {}, "buses[1]: unexpected keys ['devcie']"),
+        (("buses", 0, "spec", "Q"), 0.7, "buses[0].spec: unexpected keys ['Q']"),
+        (("buses", 1, "spec", "V"), 1.0, "buses[1].spec: unexpected keys ['V']"),
+        (("buses", 2, "spec"), {"P": 9.0, "type": "slack", "Q": 1.0},
+         "buses[2].spec: unexpected keys ['P', 'Q']"),
+        (("lines", 1, "x"), 0.1, "lines[1]: unexpected keys ['x']"),
     ]
 
     @pytest.mark.parametrize("path, value, message", BAD_STRUCTURE)

@@ -60,6 +60,19 @@ def test_line_and_graph_validation():
         gc.build_susceptance(2, [Line(0, 5, 1.0)])
 
 
+@pytest.mark.parametrize("lines, message", [
+    ([Line(0, 1, 1.0), Line(1, 2, 1.7e308), Line(2, 3, 1.7e308)],
+     "line susceptances at bus 2 do not sum to a finite value"),
+    # parallel lines overflow the off-diagonal entry itself
+    ([Line(0, 1, 1.7e308), Line(1, 0, 1.7e308), Line(1, 2, 1.0), Line(2, 3, 1.0)],
+     "line susceptances at bus 0 do not sum to a finite value"),
+])
+def test_susceptance_sum_overflow_named(lines, message):
+    with pytest.raises(ValueError) as info:
+        gc.build_susceptance(4, lines)
+    assert str(info.value) == message
+
+
 def test_power_balance_flat_profile_is_zero():
     net = Network.from_lines(3, [Line(0, 1, 40.0), Line(1, 2, 45.0)])
     P, Q = gc.power_balance(np.zeros(3), np.ones(3), net)

@@ -68,6 +68,30 @@ class TestVoltageSolve:
         with pytest.raises(AlgebraicSolveError, match="left the feasible region"):
             solve_bus_voltages(system, x, eq.v(), eq.setpoints)
 
+    def test_singular_jacobian_raises(self, monkeypatch):
+        # no input is known to make the voltage Hessian singular; LAPACK's report is stood in for
+        system, eq = fixture_system(None)
+        x = perturbed_state(eq, 0, 0.05)
+        monkeypatch.setattr(np.linalg, "solve", singular_after(0))
+        with pytest.raises(AlgebraicSolveError) as info:
+            solve_bus_voltages(system, x, eq.v(), eq.setpoints)
+        assert str(info.value) == "singular voltage Jacobian"
+
+
+def singular_after(calls):
+    """`np.linalg.solve`, raising LinAlgError from call `calls` + 1 on."""
+    solve = np.linalg.solve
+    count = [0]
+
+    def patched(*args):
+        count[0] += 1
+        if count[0] > calls:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    patched.count = count
+    return patched
+
 
 def fixture_system(mode):
     cfg = gc.apply_load_mode(gc.load_config(gc.fixture_path("three_bus.json")), mode)
@@ -241,6 +265,17 @@ class TestReferenceEquality:
 
 
 class TestSimulate:
+    def test_singular_jacobian_truncates(self, monkeypatch):
+        system, eq = fixture_system(None)
+        x0 = perturbed_state(eq, 0, 0.05)
+        counting = singular_after(math.inf)
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        solve_bus_voltages(system, x0, eq.v(), eq.setpoints)  # the initial solve's Newton steps
+        monkeypatch.setattr(np.linalg, "solve", singular_after(counting.count[0]))
+        traj = simulate(system, eq, x0=x0, dt=1e-3, t_end=0.1)
+        assert (traj.truncated, traj.t.size) == (True, 1)
+        assert traj.diagnostic == "truncated at t=0s: singular voltage Jacobian"
+
     def test_equilibrium_start_stays_constant(self):
         system, eq = fast_three_bus()
         traj = simulate(system, eq, dt=1e-3, t_end=10.0)
