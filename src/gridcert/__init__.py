@@ -50,6 +50,7 @@ from .network import (
     PV,
     Line,
     Network,
+    NetworkError,
     PowerFlowError,
     PowerFlowSolution,
     Slack,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import ConstantPowerLoad, _any, _cos_sin, _sq, internal_phase
+from .devices import ConstantPowerLoad, _any, _phase
 from .network import network_hessian
 
 __all__ = [
@@ -54,16 +54,11 @@ def synchronizing_coefficient(op, X_d, X_q):
     phase. Positive gamma means the device produces restoring active power
     against angle perturbations. Elementwise over arrays of reactances.
     """
-    return _coefficient(op, X_d, X_q, *_phase_terms(op, X_q)[2:])
+    return _coefficient(op, X_d, X_q, _phase(op, X_q))
 
 
-def _phase_terms(op, X_q):
-    """cos(phi), sin(phi) and their squares, with phi the internal phase."""
-    cos_phi, sin_phi = _cos_sin(internal_phase(op, X_q))
-    return cos_phi, sin_phi, _sq(cos_phi), _sq(sin_phi)
-
-
-def _coefficient(op, X_d, X_q, c2, s2):
+def _coefficient(op, X_d, X_q, phase):
+    c2, s2 = phase[3:]
     return op.Q + op.V**2 * c2 / X_q + op.V**2 * s2 / X_d
 
 
@@ -75,8 +70,13 @@ def bus_stiffness_block(op, X_d, X_q):
     Requires a positive synchronizing coefficient. Arrays of reactances give
     a (..., 2, 2) stack.
     """
-    cos_phi, sin_phi, c2, s2 = _phase_terms(op, X_q)
-    gamma = _coefficient(op, X_d, X_q, c2, s2)
+    return _stiffness_block(op, X_d, X_q, _phase(op, X_q))
+
+
+def _stiffness_block(op, X_d, X_q, phase):
+    """`bus_stiffness_block` from the internal phase terms (`devices._phase`)."""
+    _, cos_phi, sin_phi, c2, s2 = phase
+    gamma = _coefficient(op, X_d, X_q, phase)
     if _any(gamma <= 0):
         raise CertificateError(
             f"synchronizing coefficient {np.min(gamma):.6g} <= 0; stiffness block undefined"
@@ -168,13 +168,16 @@ def _bus_terms(dev, theta, op):
     A load has no coefficient and must draw the flow's (P, Q) (its stationary
     check raises ValueError otherwise). A source raises CapabilityError off its
     capability region, and has no block where its coefficient is not positive
-    and finite: the coefficient gate decides there.
+    and finite: the coefficient gate decides there. Also returns the device's
+    internal phase terms (`Device._phase`, None for a load) that both read.
     """
+    phase = dev._phase(op)
     if isinstance(dev, ConstantPowerLoad):
         dev.stationary_state(theta, op)
-        return None, load_stiffness_block(dev.Q_ref, op.V)
-    gamma = synchronizing_coefficient(op, dev.X_d, dev.X_q)
-    return gamma, bus_stiffness_block(op, dev.X_d, dev.X_q) if 0 < gamma < np.inf else None
+        return None, load_stiffness_block(dev.Q_ref, op.V), phase
+    gamma = _coefficient(op, dev.X_d, dev.X_q, phase)
+    block = _stiffness_block(op, dev.X_d, dev.X_q, phase) if 0 < gamma < np.inf else None
+    return gamma, block, phase
 
 
 def _gamma_gate(G, ids):
@@ -254,14 +257,14 @@ def certify(flow, system, bus_ids=None):
 
     terms = [_bus_terms(dev, float(flow.theta[i]), system.operating_point(flow, i))
              for i, dev in enumerate(system.devices)]
-    gammas = {ids[i]: gamma for i, (gamma, _) in enumerate(terms) if gamma is not None}
+    gammas = {ids[i]: gamma for i, (gamma, _, _) in enumerate(terms) if gamma is not None}
     if gammas:
         verdicts, worst = _gamma_gate(np.array([list(gammas.values())]), list(gammas))
         if verdicts[0] is not None:
             return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
     M = network_hessian(flow.theta, flow.V, system.net.B)
-    for i, (_, block) in enumerate(terms):
+    for i, (_, block, _) in enumerate(terms):
         _add_stiffness(M, block, i, ids[i])
 
     null_unit = structural_null_vector(n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .devices import OMEGA0_DEFAULT, ConstantPowerLoad, _real, device_from_dict
-from .network import PQ, PV, Line, Network, Slack
+from .network import PQ, PV, Line, Network, NetworkError, Slack
 from .system import PowerSystem
 
 __all__ = ["ConfigError", "LoadedConfig", "parse_config", "load_config", "fixture_path",
@@ -154,8 +154,8 @@ def parse_config(doc):
 
     try:
         net = Network.from_lines(len(index), lines)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    except NetworkError as exc:
+        raise ConfigError(f"config: {exc.naming(list(index))}") from exc
     return LoadedConfig(system=PowerSystem(net, devices, omega0), bus_specs=specs, bus_ids=list(index))
 
 

@@ -130,13 +130,24 @@ def internal_phase(op, X_q):
     return _atan(op.P / den)
 
 
+def _phase(op, X_q):
+    """`internal_phase` with its cos, sin and their squares: all the closed forms read of it."""
+    phi = internal_phase(op, X_q)
+    cos_phi, sin_phi = _cos_sin(phi)
+    return phi, cos_phi, sin_phi, _sq(cos_phi), _sq(sin_phi)
+
+
 def stationary_setpoint(op, X_d, X_q):
     """Mechanical power and field voltage that hold the device at `op`.
 
     Invariant under uniform phase shifts of the target flow (depends on the
     operating point only through V, P, Q).
     """
-    cos_phi, sin_phi = _cos_sin(internal_phase(op, X_q))
+    return _setpoint(op, X_d, _phase(op, X_q))
+
+
+def _setpoint(op, X_d, phase):
+    _, cos_phi, sin_phi = phase[:3]
     V_fd = (X_d * op.P / op.V) * sin_phi + (X_d * op.Q / op.V + op.V) * cos_phi
     return Setpoint(P_m=op.P, V_fd=V_fd)
 
@@ -302,6 +313,10 @@ class Device:
     def stationary_setpoint(self, op):
         return stationary_setpoint(op, self.X_d, self.X_q)
 
+    def _phase(self, op):
+        """The internal phase terms at `op` (`_phase`); None for a load, which has no setpoint."""
+        return _phase(op, self.X_q)
+
     @property
     def connection_reactances(self):
         """(x_d, x_q) between the internal voltage source and the bus."""
@@ -310,8 +325,12 @@ class Device:
     def stationary(self, theta_star, op, omega0=OMEGA0_DEFAULT):
         """Setpoint and state at bus angle `theta_star` and operating point `op`, where the
         state meets the zero-derivative condition, and its largest |state derivative|."""
-        setpoint = self.stationary_setpoint(op)
-        state = self._stationary_state(theta_star, op, setpoint)
+        return self._stationary(theta_star, op, omega0, self._phase(op))
+
+    def _stationary(self, theta_star, op, omega0, phase):
+        """`stationary`, given the device's `_phase` terms at `op`."""
+        setpoint = None if phase is None else _setpoint(op, self.X_d, phase)
+        state = self._stationary_state(theta_star, op, setpoint, phase)
         deriv = self.state_derivative(state, theta_star, op.V, setpoint, omega0)
         residual = np.abs(deriv).max(axis=0, initial=0.0)
         return setpoint, state, ~(residual > _STATIONARY_TOL), residual
@@ -401,9 +420,8 @@ class TwoAxisGenerator(Device):
             (-state[3] + (self.X_q - self.X_q_prime) * src.I_q) / self.tau_q,
         ])
 
-    def _stationary_state(self, theta_star, op, setpoint):
-        phi = internal_phase(op, self.X_q)
-        cos_phi, sin_phi = _cos_sin(phi)
+    def _stationary_state(self, theta_star, op, setpoint, phase):
+        phi, cos_phi, sin_phi = phase[:3]
         vq = op.V * cos_phi
         vd = op.V * sin_phi
         E_d = (1.0 - self.X_q_prime / self.X_q) * vd
@@ -496,8 +514,8 @@ class VsgInverter(_GridFormingBase):
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
         ])
 
-    def _stationary_state(self, theta_star, op, setpoint):
-        phi = internal_phase(op, self.X_q)
+    def _stationary_state(self, theta_star, op, setpoint, phase):
+        phi = phase[0]
         return np.array([theta_star + phi, np.zeros_like(phi)])
 
     def _energy(self, state, src, omega0):
@@ -534,8 +552,8 @@ class DroopInverter(_GridFormingBase):
     def _state_derivative(self, state, src, P, setpoint, omega0):
         return np.array([omega0 * (setpoint.P_m - P) / self.D])
 
-    def _stationary_state(self, theta_star, op, setpoint):
-        return np.array([theta_star + internal_phase(op, self.X_q)])
+    def _stationary_state(self, theta_star, op, setpoint, phase):
+        return np.array([theta_star + phase[0]])
 
     def _energy(self, state, src, omega0):
         return sum(src.potential())
@@ -573,7 +591,10 @@ class ConstantPowerLoad(Device):
     def stationary_setpoint(self, op):
         return None
 
-    def _stationary_state(self, theta_star, op, setpoint):
+    def _phase(self, op):
+        return None
+
+    def _stationary_state(self, theta_star, op, setpoint, phase):
         scale = max(1.0, abs(self.P_ref), abs(self.Q_ref))
         if abs(op.P - self.P_ref) > 1e-8 * scale or abs(op.Q - self.Q_ref) > 1e-8 * scale:
             raise ValueError(

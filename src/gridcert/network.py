@@ -10,13 +10,22 @@ with B the (negated) weighted Laplacian of the line graph. (P, Q/V) is the
 gradient of the network energy -1/2 sum_ij B_ij V_i V_j cos(theta_i - theta_j)
 = sum(Q)/2, and `network_hessian` is its 2N x 2N Hessian over interleaved
 (theta_i, V_i); the Newton power-flow Jacobian is built from its blocks.
+
+B is sparse: a bus couples only to its neighbours over lines. One kernel,
+`_Lines.evaluate`, forms P, Q and the Hessian's entries over B's nonzero
+entries alone, on Python floats, and the power flow, `power_balance`,
+`network_hessian`, `power_flow_jacobian` and the simulator's voltage Newton
+all call it; the entries are scattered into dense arrays through indices
+formed once per network (Tinney & Hart, "Power flow solution by Newton's
+method", IEEE Trans. PAS-86(11), 1967, build Newton's power flow on the same
+sparsity). Its cos and sin are formed once per off-diagonal entry rather than
+for every bus pair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +39,7 @@ __all__ = [
     "BusSpec",
     "PowerFlowSolution",
     "PowerFlowError",
+    "NetworkError",
     "build_susceptance",
     "power_balance",
     "network_hessian",
@@ -41,6 +51,17 @@ __all__ = [
 
 class PowerFlowError(RuntimeError):
     """Raised when the Newton power flow diverges or hits a singular Jacobian."""
+
+
+class NetworkError(ValueError):
+    """A line graph fault at bus positions `buses`; `naming(ids)` names position k `ids[k]`."""
+
+    def __init__(self, template, buses):
+        self.template, self.buses = template, buses
+        super().__init__(template.format(buses))
+
+    def naming(self, ids):
+        return self.template.format([ids[k] for k in self.buses])
 
 
 @dataclass(frozen=True)
@@ -93,8 +114,9 @@ def build_susceptance(n_bus, lines):
     Off-diagonal entries are the (summed) line susceptances, diagonal entries
     the negated row sums, so -B is the weighted graph Laplacian. Parallel
     lines between the same pair add up. Raises if any bus index is out of
-    range, a bus's line susceptances do not sum to a finite value or the
-    line graph does not connect all buses.
+    range; raises NetworkError, naming bus positions, if a bus's line
+    susceptances do not sum to a finite value or the line graph does not
+    connect all buses.
     """
     if n_bus < 1:
         raise ValueError("network needs at least one bus")
@@ -109,7 +131,8 @@ def build_susceptance(n_bus, lines):
         row_sums = B.sum(axis=1)
     overflowed = np.flatnonzero(~np.isfinite(row_sums))
     if overflowed.size:
-        raise ValueError(f"line susceptances at bus {overflowed[0]} do not sum to a finite value")
+        raise NetworkError("line susceptances at bus {0[0]} do not sum to a finite value",
+                           overflowed[:1].tolist())
     np.fill_diagonal(B, -row_sums)
     _check_connected(n_bus, B)
     return B
@@ -122,8 +145,8 @@ def _check_connected(n_bus, B):
         frontier = (B[frontier] > 0).any(axis=0) & ~seen
         seen = seen | frontier
     if not seen.all():
-        missing = np.nonzero(~seen)[0].tolist()
-        raise ValueError(f"line graph is disconnected; unreachable buses {missing}")
+        raise NetworkError("line graph is disconnected; unreachable buses {0}",
+                           np.flatnonzero(~seen).tolist())
 
 
 @dataclass(frozen=True)
@@ -137,185 +160,146 @@ class Network:
     def from_lines(cls, n_bus, lines):
         return cls(n_bus=n_bus, B=build_susceptance(n_bus, lines))
 
+    @functools.cached_property
+    def _lines(self):
+        """B over its lines, formed on first use and held for every later evaluation."""
+        return _Lines(self.B)
 
-def _angle_terms(theta, V, B):
-    """cos(D), sin(D) and W = B * V V^T with D_ij = theta_i - theta_j.
 
-    `_float_network` forms the same terms on Python floats, in its one loop.
+class _Lines:
+    """A susceptance matrix over its lines, and the one network evaluation there.
+
+    `rows[i]` holds bus i's nonzero columns of B in column order, the
+    diagonal always among them, and their entries. `evaluate` gives three
+    Hessian entries per (i, j) of them: (theta_i, theta_j), (theta_i, V_j) and
+    (V_i, V_j). Entry `source[k]` goes to `flat[k]` in the flat 2N x 2N
+    Hessian, each (theta_i, V_j) also to (V_j, theta_i); `diagonal[i]` is
+    where bus i's (theta_i, theta_i) entry sits among the entries.
     """
-    theta = np.asarray(theta, dtype=float)
-    V = np.asarray(V, dtype=float)
-    D = np.subtract.outer(theta, theta)
-    return np.cos(D), np.sin(D, out=D), B * np.multiply.outer(V, V)  # sin reuses D once cos has read it
+
+    def __init__(self, B):
+        n = self.n = B.shape[0]
+        i, j = np.nonzero((B != 0) | np.eye(n, dtype=bool))  # row-major
+        cols, entries = j.tolist(), B[i, j].tolist()
+        starts = np.searchsorted(i, np.arange(n + 1)).tolist()
+        self.rows = [(cols[a:b], entries[a:b]) for a, b in zip(starts, starts[1:])]
+        m, k = 2 * n, 3 * np.arange(i.size)
+        self.flat = np.concatenate([2 * i * m + 2 * j, 2 * i * m + 2 * j + 1,
+                                    (2 * i + 1) * m + 2 * j + 1, (2 * j + 1) * m + 2 * i])
+        self.source = np.concatenate([k, k + 1, k + 2, k + 1])
+        self.diagonal = k[i == j].tolist()
+
+    def evaluate(self, theta, V):
+        """P and Q at each bus, and the network Hessian's entries, from the lists `theta` and `V`.
+
+        All three are lists of Python floats; angles must be finite (math.cos
+        raises on inf). Each row sum runs left to right from +0.0, as numpy
+        sums a row of fewer than 8 entries; such a sum is never -0.0, so the
+        signed zeros of the pairs off the lines would not change it, and
+        below 8 buses every sum keeps the bits of the dense formula's.
+        """
+        cos, sin = math.cos, math.sin
+        P, Q, h = [], [], []
+        for i, (cols, entries) in enumerate(self.rows):
+            th_i, V_i = theta[i], V[i]
+            p = q = tt_sum = tv_sum = 0.0
+            for j, b in zip(cols, entries):
+                if j == i:
+                    q += b * (V_i * V_i)
+                    diag = len(h)
+                    h += (0.0, 0.0, -b)  # (theta, theta) and (theta, V) finished below
+                    continue
+                V_j = V[j]
+                d = th_i - theta[j]
+                c, s = cos(d), sin(d)
+                w = b * (V_i * V_j)
+                p += s * w
+                q += c * w
+                h_tt, bs = -w * c, b * s
+                tt_sum += h_tt
+                tv_sum += bs * V_j
+                h += (h_tt, bs * V_i, -b * c)
+            h[diag] = -tt_sum
+            h[diag + 1] = tv_sum
+            P.append(p)
+            Q.append(-q)
+        return P, Q, h
+
+    def hessian(self, h, blocks=()):
+        """The 2N x 2N Hessian from `evaluate`'s entries `h`, +0.0 off the lines.
+
+        Each bus's device block (h_tt, h_tV, h_VV) in `blocks` is first added
+        to its diagonal (theta, V) entries; `h` itself is not changed.
+        """
+        h = list(h)
+        for k, (h_tt, h_tV, h_VV) in zip(self.diagonal, blocks):
+            h[k] += h_tt
+            h[k + 1] += h_tV
+            h[k + 2] += h_VV
+        m = 2 * self.n
+        H = np.zeros(m * m)
+        H[self.flat] = np.array(h)[self.source]
+        return H.reshape(m, m)
+
+    def jacobian_index(self, free_theta, free_V):
+        """Where `evaluate`'s entries go in the power-flow Jacobian at the free buses.
+
+        Its rows are (P, Q) at the buses `free_theta` and `free_V`, its columns
+        (theta, V) there: the Hessian's rows and columns at those unknowns,
+        each Q row scaled by its bus's V. Returns what `_jacobian` reads.
+        """
+        m, size = 2 * self.n, free_theta.size + free_V.size
+        at = np.full(m, -1)  # each interleaved unknown's row and column, -1 where it is fixed
+        at[2 * free_theta] = np.arange(free_theta.size)
+        at[2 * free_V + 1] = np.arange(free_theta.size, size)
+        r, c = np.divmod(self.flat, m)
+        row, col = at[r], at[c]
+        kept = (row >= 0) & (col >= 0)
+        by = np.where(r % 2 == 1, r // 2, self.n)  # a Q row's bus; N scales by 1.0
+        return (size, self.source[kept], row[kept] * size + col[kept], by[kept],
+                at[2 * free_V + 1] * (size + 1), free_V)
 
 
-_FLOAT_BUSES = 8  # numpy sums a row of fewer entries left to right, as `_float_network` does
+def _jacobian(index, V, Q, h):
+    """The power-flow Jacobian at the free buses of `index` (`_Lines.jacobian_index`).
 
-
-def _voltage_kernel(B):
-    """The voltage Newton's network evaluation for susceptance matrix `B`.
-
-    Returns `(evaluate, with_blocks)`. `evaluate(v, values)` takes the
-    interleaved voltages as an array and as a list, and gives the network's
-    P and Q as lists and its Hessian there. `with_blocks(hessian, blocks)`
-    returns that Hessian as a new 2N x 2N array with each bus's device block
-    (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block. Below 8
-    buses both run on Python floats (`_float_network`, `_float_hessian`),
-    which equal the array kernel there bit for bit and skip numpy's call
-    overhead; from 8 buses on the array kernel is the only bit-identical one.
+    Each entry takes the full Jacobian's product, V H_vv + Q/V on the (Q, V)
+    diagonal, so this equals the full one's rows and columns at the free
+    buses bit for bit, signs of zeros included.
     """
-    if B.shape[0] < _FLOAT_BUSES:
-        rows = B.tolist()
-
-        def evaluate(v, values):
-            return _float_network(values[0::2], values[1::2], rows)
-        return evaluate, _float_hessian
-
-    def evaluate(v, values):
-        theta, V = v[0::2], v[1::2]
-        terms = _angle_terms(theta, V, B)
-        P, Q = _balance(*terms)
-        return P.tolist(), Q.tolist(), network_hessian(theta, V, B, terms)
-    return evaluate, _add_blocks
+    size, source, target, scale, diagonal, rows = index
+    J = np.zeros(size * size)
+    J[target] = np.array(h)[source] * np.append(V, 1.0)[scale]
+    J[diagonal] += Q[rows] / V[rows]
+    return J.reshape(size, size)
 
 
-def _add_blocks(H, blocks):
-    """A copy of `H`, each bus's (h_tt, h_tV, h_VV) added into its diagonal (theta, V) block."""
-    H = H.copy()
-    for j, (h_tt, h_tV, h_VV) in zip(range(0, H.shape[0], 2), blocks):
-        H[j, j] += h_tt
-        H[j, j + 1] += h_tV
-        H[j + 1, j] += h_tV
-        H[j + 1, j + 1] += h_VV
-    return H
-
-
-def _float_network(theta, V, B):
-    """`power_balance` and the blocks of `network_hessian`, on Python floats, in one pass.
-
-    `theta` and `V` are lists and `B` the susceptance matrix as a list of
-    rows. Returns the lists P and Q, and the Hessian's (theta, theta),
-    (theta, V) and (V, V) blocks, each a row-major list of N x N entries with
-    its diagonal finished. Each product takes the operands of the array
-    kernel (`_angle_terms`, `_balance`, `_hessian_blocks`), and each row is
-    summed left to right from +0.0, the (theta, theta) row with +0.0 in the
-    diagonal's place. numpy sums a row of fewer than 8 entries the same way
-    (longer rows in pairwise blocks), so below 8 buses this equals the array
-    kernel bit for bit.
-    """
-    n = len(B)
-    P, Q, tt, tv, vv = [], [], [], [], []
-    for i, (th_i, V_i, B_i) in enumerate(zip(theta, V, B)):
-        p = q = tt_sum = tv_sum = 0.0
-        for j, (th_j, V_j, b) in enumerate(zip(theta, V, B_i)):
-            d = th_i - th_j
-            c, s, w = math.cos(d), math.sin(d), b * (V_i * V_j)
-            p += s * w
-            q += c * w
-            h, bs = -w * c, b * s
-            tt_sum += 0.0 if j == i else h
-            tv_sum += bs * V_j
-            tt.append(h)
-            tv.append(bs * V_i)
-            vv.append(-b * c)
-        diag = i * (n + 1)
-        tt[diag], tv[diag], vv[diag] = -tt_sum, tv_sum, -B_i[i]
-        P.append(p)
-        Q.append(-q)
-    return P, Q, (tt, tv, vv)
-
-
-def _float_hessian(hessian, blocks):
-    """`_float_network`'s Hessian blocks as a 2N x 2N array, with a device block on each bus.
-
-    Each bus's (h_tt, h_tV, h_VV) is added to its finished (theta, theta),
-    (theta, V) and (V, V) diagonal entry, as `_add_blocks` adds it to
-    `network_hessian`'s, so below 8 buses the two agree bit for bit.
-    """
-    tt, tv, vv = hessian
-    n = len(blocks)
-    nn = n * n
-    H = tt + tv + vv
-    for k, (h_tt, h_tV, h_VV) in zip(range(0, nn, n + 1), blocks):
-        H[k] += h_tt
-        H[nn + k] += h_tV
-        H[2 * nn + k] += h_VV
-    return np.array(_interleaved(n)(H)).reshape(2 * n, 2 * n)
-
-
-@functools.cache
-def _interleaved(n):
-    """Getter from the Hessian's three N x N blocks to its 2N x 2N interleaved entries.
-
-    It takes the (theta, theta), (theta, V) and (V, V) blocks laid end to
-    end, each row-major, and returns the entries over interleaved
-    (theta_i, V_i) row by row.
-    """
-    nn = n * n
-    order = []
-    for i in range(n):
-        for j in range(n):
-            order += (i * n + j, nn + i * n + j)
-        for j in range(n):
-            order += (nn + j * n + i, 2 * nn + i * n + j)
-    return operator.itemgetter(*order)
+def _terms(theta, V, lines):
+    """`lines.evaluate` at angles and magnitudes given as any float sequences."""
+    return lines.evaluate(np.asarray(theta, dtype=float).tolist(),
+                          np.asarray(V, dtype=float).tolist())
 
 
 def power_balance(theta, V, net):
     """Evaluate the lossless power balance at every bus.
 
-    Returns (P, Q) arrays at the buses of Network `net`.
-    The angle terms go through `_balance`, the one (P, Q) reduction on arrays,
-    which the power flow and the voltage Newton's array kernel also use, so
-    all three agree bit for bit; below 8 buses `_float_network` equals it.
+    Returns (P, Q) arrays at the buses of Network `net`, from the one
+    network evaluation that the power flow and the voltage Newton also use.
     """
-    return _balance(*_angle_terms(theta, V, net.B))
+    P, Q, _ = _terms(theta, V, net._lines)
+    return np.array(P), np.array(Q)
 
 
-def _balance(C, S, W):
-    """(P, Q) from `_angle_terms`, leaving the terms intact for the Hessian blocks."""
-    return (S * W).sum(axis=1), -(C * W).sum(axis=1)
-
-
-def _hessian_blocks(theta, V, B, terms=None, out=None):
-    """(theta, theta), (theta, V) and (V, V) blocks of the network energy Hessian.
-
-    Written into `out`, three N x N arrays or views, when given, else into new arrays.
-    """
-    C, S, W = _angle_terms(theta, V, B) if terms is None else terms
-    V = np.asarray(V, dtype=float)
-    tt, tv, vv = (None,) * 3 if out is None else out
-    diag = slice(None, None, B.shape[0] + 1)  # the diagonal of a block's .flat
-
-    tt = np.multiply(-W, C, out=tt)
-    tt.flat[diag] = 0.0
-    tt.flat[diag] = -tt.sum(axis=1)
-
-    BS = B * S
-    tv = np.multiply(BS, V[:, None], out=tv)
-    tv.flat[diag] = (BS * V).sum(axis=1)
-
-    vv = np.multiply(-B, C, out=vv)
-    vv.flat[diag] = -B.diagonal()
-    return tt, tv, vv
-
-
-def network_hessian(theta, V, B, terms=None):
+def network_hessian(theta, V, B):
     """2N x 2N Hessian of the network energy over interleaved (theta_i, V_i).
 
     Built from the susceptance matrix and the voltage phasors alone; it is
     the Jacobian of (P, Q/V), the transmission network's contribution to the
     stability condition, and annihilates the uniform phase-shift direction.
-    A caller that already holds `_angle_terms(theta, V, B)` passes it as
-    `terms`, so the cosines and sines are not formed again. The blocks are
-    written straight into the strided views of the result.
+    Its entries are formed over B's nonzero entries only.
     """
-    n = B.shape[0]
-    L = np.empty((2 * n, 2 * n))
-    _, tv, _ = _hessian_blocks(theta, V, B, terms,
-                               out=(L[0::2, 0::2], L[0::2, 1::2], L[1::2, 1::2]))
-    L[1::2, 0::2] = tv.T
-    return L
+    lines = _Lines(B)
+    return lines.hessian(_terms(theta, V, lines)[2])
 
 
 def power_flow_jacobian(theta, V, B):
@@ -326,32 +310,10 @@ def power_flow_jacobian(theta, V, B):
     [[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]].
     """
     V = np.asarray(V, dtype=float)
-    terms = _angle_terms(theta, V, B)
+    lines = _Lines(B)
+    _, Q, h = _terms(theta, V, lines)
     every = np.arange(V.size)
-    return _jacobian(V, _balance(*terms)[1], _hessian_blocks(theta, V, B, terms), every, every)
-
-
-def _jacobian(V, Q, blocks, free_theta, free_V):
-    """The rows and columns of `power_flow_jacobian` for the free angles and magnitudes.
-
-    Rows are (P, Q) at the buses `free_theta` and `free_V`, columns (theta, V)
-    there, written from the `_hessian_blocks` at one point straight into one
-    array. Each entry takes the full Jacobian's products and sums; adding
-    diag(Q/V) as a whole matrix also turns the off-diagonal -0.0 of -B * C
-    into +0.0, as in the full one. So this equals the full matrix's
-    [np.ix_(rows, rows)] bit for bit, signs of zeros included.
-    """
-    tt, tv, vv = blocks
-    k = free_theta.size
-    V_free = V[free_V]
-    J = np.empty((k + free_V.size,) * 2)
-    tv_free = tv.take(free_theta, axis=0).take(free_V, axis=1)
-    J[:k, :k] = tt.take(free_theta, axis=0).take(free_theta, axis=1)
-    J[:k, k:] = tv_free
-    J[k:, :k] = V_free[:, None] * tv_free.T
-    vv_free = vv.take(free_V, axis=0).take(free_V, axis=1)
-    J[k:, k:] = V_free[:, None] * vv_free + np.diag(Q[free_V] / V_free)
-    return J
+    return _jacobian(lines.jacobian_index(every, every), V, np.array(Q), h)
 
 
 @dataclass(frozen=True)
@@ -407,21 +369,27 @@ def solve_power_flow(net, bus_specs):
     v_rows = np.array(v_rows, dtype=int)
     n_th = theta_rows.size
 
+    lines = net._lines
+    index = lines.jacobian_index(theta_rows, v_rows)
     residual = np.inf
     # a diverging iterate overflows; the non-finite residual check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(_FLOW_MAX_ITER + 1):
-            terms = _angle_terms(theta, V, net.B)  # the one pass of this iterate
-            P, Q = _balance(*terms)
-            mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows], Q_set[v_rows] - Q[v_rows]])
-            residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
-            if not np.isfinite(residual):
+            # an infinite angle or magnitude gives a non-finite residual, and math.cos raises on it
+            finite = np.isfinite(theta).all() and np.isfinite(V).all()
+            if finite:
+                P, Q, h = lines.evaluate(theta.tolist(), V.tolist())  # the one pass of this iterate
+                P, Q = np.array(P), np.array(Q)
+                mismatch = np.concatenate([P_set[theta_rows] - P[theta_rows],
+                                           Q_set[v_rows] - Q[v_rows]])
+                residual = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+            if not (finite and np.isfinite(residual)):
                 raise PowerFlowError(f"power flow diverged at iteration {it} (non-finite residual)")
             if residual <= _FLOW_TOL:
                 return PowerFlowSolution(theta=theta, V=V, P=P, Q=Q, residual=residual, iterations=it)
             if it == _FLOW_MAX_ITER:
                 break
-            J = _jacobian(V, Q, _hessian_blocks(theta, V, net.B, terms), theta_rows, v_rows)
+            J = _jacobian(index, V, Q, h)
             try:
                 step = np.linalg.solve(J, mismatch)
             except np.linalg.LinAlgError as exc:

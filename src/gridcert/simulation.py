@@ -11,10 +11,11 @@ energy gradient and, while the iterate has not converged, the voltage
 Hessian, to which each device adds its (theta, V) block as four scalars. On
 a few buses an iterate costs numpy calls rather than arithmetic, so the
 feasibility check, the device sources, the gradient and the convergence
-test run on Python floats, and `network._voltage_kernel` picks a network
-evaluation that does too where it rounds like numpy's. At the converged
-iterate the same network (P, Q) and sources give the residual post-check,
-with each source's (P, Q) formed once, and the stage's state derivative.
+test run on Python floats, as does the network evaluation over the lines
+(`network._Lines`), whose Hessian entries take each device's block before
+they fill the dense voltage Hessian. At the converged iterate the same
+network (P, Q) and sources give the residual post-check, with each source's
+(P, Q) formed once, and the stage's state derivative.
 Each solve returns its last network evaluation with its voltages; the next
 stage starts from those voltages, so it takes that evaluation for its first
 iterate. The solve that ends an RK4 step is at the next step's starting
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _voltage_kernel, power_balance
+from .network import power_balance
 from .network import network_hessian  # noqa: F401 -- unused; bench/tests traces simulation.network_hessian
 from .system import Equilibrium, PowerSystem
 
@@ -85,7 +86,7 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
     Also returns each device's source and (P, Q), and the network
     evaluation (P, Q, Hessian), all at the solution.
     """
-    evaluate, with_blocks = _voltage_kernel(system.net.B)
+    lines = system.net._lines
     v = np.array(v_guess, dtype=float)
     for _ in range(_NEWTON_MAX_ITER):
         values = v.tolist()
@@ -93,7 +94,7 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
         if min(V_l) <= 0 or not all(map(math.isfinite, values)):
             raise AlgebraicSolveError("bus voltage iterate left the feasible region")
         if network is None:
-            network = evaluate(v, values)
+            network = lines.evaluate(values[0::2], V_l)
         P_l, Q_l, hessian = network
         sources = [dev._source(states[i], values[2 * i], V_l[i], setpoints[i])
                    for i, dev in enumerate(system.devices)]
@@ -104,7 +105,7 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
             g += (P + g_theta, Q / V_i + g_V)
         if all(abs(g_i) <= 0.1 * _NEWTON_TOL for g_i in g):  # a NaN never passes, unlike max()'s
             break
-        H = with_blocks(hessian, [src.bus_block() for src in sources])  # a load's 0s: -0.0 to +0.0
+        H = lines.hessian(hessian, [src.bus_block() for src in sources])
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:

@@ -31,14 +31,14 @@ from .certificate import (
     _band,
     _bus_terms,
     _check_balance,
+    _coefficient,
     _complement_basis,
     _deflated_eigh,
     _gamma_gate,
-    bus_stiffness_block,
+    _stiffness_block,
     structural_null_vector,
-    synchronizing_coefficient,
 )
-from .devices import ConstantPowerLoad, _capability
+from .devices import ConstantPowerLoad, _capability, _phase
 from .linearization import (
     DegenerateEquilibriumError,
     _add_device_block,
@@ -110,7 +110,7 @@ class _Sweep:
                 continue
             theta = float(flow.theta[i])
             try:
-                gamma, block = _bus_terms(dev, theta, ops[i])
+                gamma, block, phase = _bus_terms(dev, theta, ops[i])
             except ValueError:  # nothing is certifiable
                 return
             if gamma is not None:
@@ -122,7 +122,7 @@ class _Sweep:
                     _add_stiffness(self.fixed, block, i, i)
                 except CertificateError:  # every point the gate passes is infeasible
                     self.fixed = None
-            hessian, damping, holds = _device_blocks(dev, theta, ops[i], self.omega0)
+            hessian, damping, holds = _device_blocks(dev, theta, ops[i], self.omega0, phase)
             self.equilibrium = self.equilibrium and bool(holds)
             _add_device_block(self.energy, hessian, slices[i], i)
             self.R[slices[i], slices[i]] = damping
@@ -151,17 +151,19 @@ class _Sweep:
             points = np.flatnonzero(self.device.admits(X_d=xd, X_q=xq)
                                     & ~_capability(self.op, xq)[1])
             dev = self.device.with_reactances(xd[points], xq[points])
+            phase = _phase(self.op, dev.X_q)  # the one internal phase of the stack's closed forms
             if points.size:
-                gammas = synchronizing_coefficient(self.op, dev.X_d, dev.X_q)
-                _settle(out, 0, self._certify, points, gammas, dev.X_d, dev.X_q)
+                gammas = _coefficient(self.op, dev.X_d, dev.X_q, phase)
+                _settle(out, 0, self._certify, points, gammas, dev.X_d, dev.X_q, *phase)
             if self.equilibrium:
-                hessians, dampings, holds = _device_blocks(dev, self.theta, self.op, self.omega0)
+                hessians, dampings, holds = _device_blocks(dev, self.theta, self.op, self.omega0,
+                                                           phase)
                 dampings = np.broadcast_to(dampings, hessians.shape[:1] + dampings.shape[-2:])
                 if holds.any():
                     _settle(out, 1, self._eigen, points[holds], hessians[holds], dampings[holds])
         return list(zip(*out))
 
-    def _certify(self, out, points, gammas, xd, xq):
+    def _certify(self, out, points, gammas, xd, xq, *phase):
         G = np.repeat(self.gammas[None], len(points), axis=0)
         G[:, 0] = gammas
         verdicts = np.array(_gamma_gate(G, self.gens)[0], dtype=object)
@@ -171,7 +173,7 @@ class _Sweep:
             verdicts[matrix] = "infeasible"
         elif matrix.size:
             M = np.repeat(self.fixed[None], matrix.size, axis=0)
-            block = bus_stiffness_block(self.op, xd[matrix], xq[matrix])
+            block = _stiffness_block(self.op, xd[matrix], xq[matrix], [t[matrix] for t in phase])
             _add_stiffness(M, block, self.bus, self.bus)
             lam = _deflated_eigh([M, self.Z])[0]
             verdicts[matrix], min_eigs[matrix] = _band(lam, "stable"), lam.tolist()
@@ -202,9 +204,9 @@ def _settle(out, column, evaluate, points, *stacks):
             _settle(out, column, evaluate, points[part], *(stack[part] for stack in stacks))
 
 
-def _device_blocks(dev, theta, op, omega0):
+def _device_blocks(dev, theta, op, omega0, phase):
     """Energy Hessian and damping block of a device, or of a stack of devices, at its stationary
     state, and where that state passes `stationary_state`'s check; where it does,
-    `assemble_energy_hessian`'s check passes too."""
-    setpoint, state, holds, _ = dev.stationary(theta, op, omega0)
+    `assemble_energy_hessian`'s check passes too. `phase` is the device's `_phase` at `op`."""
+    setpoint, state, holds, _ = dev._stationary(theta, op, omega0, phase)
     return dev.energy_hessian(state, theta, op.V, setpoint, omega0), dev.damping_block(omega0), holds

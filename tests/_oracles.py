@@ -7,6 +7,7 @@ sampled voltages so they satisfy it by construction.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -226,9 +227,11 @@ def sweep_point(cfg, flow, bus_index, x_d, x_q):
 def network_hessian_blocks_reference(theta, V, B):
     """The network Hessian's (theta, theta), (theta, V) and (V, V) blocks as first written.
 
-    Each block is a new array from whole-matrix products, with its diagonal
-    written last; `network_hessian` and `power_flow_jacobian` must reproduce
-    these bits, signs of zeros included.
+    Each block is a new array from whole-matrix products over every bus pair,
+    with its diagonal written last. Below 8 buses numpy sums each row left
+    to right from +0.0, so `network_hessian` and `power_flow_jacobian` equal
+    these bits wherever an entry is nonzero; from 8 buses numpy sums in
+    pairwise blocks, and the two agree to rounding.
     """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -272,6 +275,60 @@ def power_flow_jacobian_reference(theta, V, B):
     J[n:, :n] = V[:, None] * tv.T
     J[n:, n:] = V[:, None] * vv + np.diag(Q / V)
     return J
+
+
+def network_line_reference(theta, V, B):
+    """P, Q and the 2N x 2N network Hessian by plain loops over B's nonzero entries.
+
+    Each row runs left to right from +0.0 over its columns j with B_ij != 0
+    or j = i, each term as in the dense formula; the (theta, theta) row sum
+    leaves out its diagonal term, and entries off the lines stay +0.0. The
+    reference the line kernel must equal bit for bit at every size.
+    """
+    theta = [float(t) for t in theta]
+    V = [float(x) for x in V]
+    B = np.asarray(B, dtype=float).tolist()
+    n = len(V)
+    P, Q = [], []
+    H = [[0.0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        p = q = tt = tv = 0.0
+        for j in range(n):
+            b = B[i][j]
+            if b == 0 and j != i:
+                continue
+            c, s = math.cos(theta[i] - theta[j]), math.sin(theta[i] - theta[j])
+            w = b * (V[i] * V[j])
+            p += s * w
+            q += c * w
+            tv += (b * s) * V[j]
+            if j != i:
+                tt += -w * c
+                H[2 * i][2 * j] = -w * c
+                H[2 * i][2 * j + 1] = H[2 * j + 1][2 * i] = (b * s) * V[i]
+                H[2 * i + 1][2 * j + 1] = -b * c
+        H[2 * i][2 * i] = -tt
+        H[2 * i][2 * i + 1] = H[2 * i + 1][2 * i] = tv
+        H[2 * i + 1][2 * i + 1] = -B[i][i]
+        P.append(p)
+        Q.append(-q)
+    return np.array(P), np.array(Q), np.array(H)
+
+
+def power_flow_jacobian_line_reference(theta, V, B):
+    """[[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]] by plain loops from `network_line_reference`."""
+    _, Q, H = network_line_reference(theta, V, B)
+    V = [float(x) for x in V]
+    H, Q = H.tolist(), Q.tolist()
+    n = len(V)
+    J = [[0.0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            J[i][j] = H[2 * i][2 * j]
+            J[i][n + j] = H[2 * i][2 * j + 1]
+            J[n + i][j] = V[i] * H[2 * i + 1][2 * j]
+            J[n + i][n + j] = V[i] * H[2 * i + 1][2 * j + 1] + (Q[i] / V[i] if i == j else 0.0)
+    return np.array(J)
 
 
 def solve_bus_voltages_reference(system, x, v_guess, setpoints):

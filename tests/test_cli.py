@@ -72,6 +72,21 @@ class TestPowerflow:
             assert float(theta) == 0.0 and float(v) == 1.0
             assert float(p) == 0.0 and float(q) == 0.0
 
+    @pytest.mark.parametrize("lines, message", [
+        ([{"from": 70, "to": 5, "b": 40.0}], "line graph is disconnected; unreachable buses [9]"),
+        ([{"from": 70, "to": 5, "b": 1.7e308}, {"from": 5, "to": 9, "b": 1.7e308}],
+         "line susceptances at bus 5 do not sum to a finite value"),
+    ])
+    def test_network_errors_name_bus_ids(self, capsys, tmp_path, lines, message):
+        # the fixture's buses renamed 70, 5 and 9: an error names the id, never the position
+        doc = three_bus_doc()
+        for bus, bus_id in zip(doc["buses"], (70, 5, 9)):
+            bus["id"] = bus_id
+        doc["lines"] = lines
+        code, out, err = run(capsys, ["powerflow", "--config", write_config(tmp_path, doc),
+                                      "--no-timestamp"])
+        assert (code, out, err) == (2, "", f"error: config: {message}\n")
+
     def test_overloaded_network_exits_2(self, capsys, tmp_path):
         doc = three_bus_doc()
         doc["buses"][1]["spec"] = {"type": "pq", "P": -350.0, "Q": -50.0}
@@ -207,11 +222,12 @@ class TestCertify:
         (("buses", 0, "spec"), {"type": "pvq"}, "buses[0].spec: unknown bus spec type 'pvq'"),
         (("lines", 0), 5, "lines[0]: must be an object"),
         (("lines", 1, "to"), 9, "lines[1]: unknown bus id 9"),
+        # network errors name bus ids, here one more than their positions
         (("lines",), [{"from": 1, "to": 2, "b": 40.0}],
-         "config: line graph is disconnected; unreachable buses [2]"),
-        # each line is finite, their sum at bus position 1 (id 2) is not
+         "config: line graph is disconnected; unreachable buses [3]"),
+        # each line is finite, their sum at bus id 2 is not
         (("lines",), [{"from": 1, "to": 2, "b": 1.7e308}, {"from": 2, "to": 3, "b": 1.7e308}],
-         "config: line susceptances at bus 1 do not sum to a finite value"),
+         "config: line susceptances at bus 2 do not sum to a finite value"),
         # a key outside the schema is rejected at every level, not dropped
         (("line",), [], "config: unexpected keys ['line']"),
         (("buses", 1, "devcie"), {}, "buses[1]: unexpected keys ['devcie']"),

@@ -110,8 +110,8 @@ class TestStationaryState:
 
     def test_equilibrium_takes_one_stationary_evaluation_per_device(self, monkeypatch):
         # a 12-bus draw holding every device kind; each operating point's internal phase is
-        # formed at most twice (setpoint and state), and the equilibrium keeps the bits of a
-        # setpoint and a checked state evaluated apart
+        # formed once, for its setpoint and state both, and the equilibrium keeps the bits of
+        # a setpoint and a checked state evaluated apart
         system, flow = random_system(np.random.default_rng(0), n_bus=12)
         assert {dev.kind for dev in system.devices} == {"two_axis", "vsg", "fdc", "load"}
         phases = []
@@ -126,7 +126,7 @@ class TestStationaryState:
         monkeypatch.undo()
         ops = [system.operating_point(flow, i) for i in range(system.n_bus)]
         for dev, op in zip(system.devices, ops):
-            assert phases.count(op) == (0 if dev.kind == "load" else 2)
+            assert phases.count(op) == (0 if dev.kind == "load" else 1)
         for i, (dev, op) in enumerate(zip(system.devices, ops)):
             theta = float(flow.theta[i])
             assert eq.setpoints[i] == dev.stationary_setpoint(op)

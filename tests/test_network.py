@@ -11,6 +11,8 @@ from _oracles import (
     TABLE1,
     fd_gradient,
     network_hessian_reference,
+    network_line_reference,
+    power_flow_jacobian_line_reference,
     power_flow_jacobian_reference,
     random_system,
 )
@@ -146,12 +148,12 @@ def test_solve_reproduces_table1():
 def test_solve_one_angle_pass_per_iterate(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return angle_terms(*args)
+    def counting(lines, theta, V):
+        calls.append(theta)
+        return evaluate(lines, theta, V)
 
-    angle_terms = network._angle_terms
-    monkeypatch.setattr(network, "_angle_terms", counting)
+    evaluate = network._Lines.evaluate
+    monkeypatch.setattr(network._Lines, "evaluate", counting)
     net = Network.from_lines(3, [Line(0, 1, 40.0), Line(1, 2, 45.0)])
     flow = gc.solve_power_flow(net, _three_bus_specs())
     assert flow.iterations == 4
@@ -168,29 +170,29 @@ def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
         PV(P=float(point.P[i]), V=float(point.V[i])) if i % 3 == 0
         else PQ(P=float(point.P[i]), Q=float(point.Q[i])) for i in range(1, 50)]
     iterates, jacobians = [], []
-    angle_terms, jacobian = network._angle_terms, network._jacobian
+    evaluate, jacobian = network._Lines.evaluate, network._jacobian
 
-    def recording_terms(theta, V, B):
-        iterates.append((theta.copy(), V.copy()))
-        return angle_terms(theta, V, B)
+    def recording_evaluate(lines, theta, V):
+        iterates.append((np.array(theta), np.array(V)))
+        return evaluate(lines, theta, V)
 
     def recording_jacobian(*args):
-        jacobians.append((jacobian(*args), *args[3:]))
-        return jacobians[-1][0]
+        jacobians.append(jacobian(*args))
+        return jacobians[-1]
 
-    monkeypatch.setattr(network, "_angle_terms", recording_terms)
+    monkeypatch.setattr(network._Lines, "evaluate", recording_evaluate)
     monkeypatch.setattr(network, "_jacobian", recording_jacobian)
     flow = gc.solve_power_flow(system.net, specs)
     monkeypatch.undo()
-    assert flow.iterations == len(jacobians) == 5
+    assert flow.iterations == len(jacobians) == len(iterates) - 1 == 5
     assert np.max(np.abs(flow.V - point.V)) < 1e-12
-    free_theta, free_V = jacobians[0][1:]
-    assert 0 < free_V.size < free_theta.size == 49  # PV buses have a free angle only
+    free_theta = np.arange(1, 50)
+    free_V = np.array([i for i in range(1, 50) if i % 3])  # PV buses have a free angle only
     rows = np.concatenate([free_theta, 50 + free_V])
-    for (theta, V), (J, *free) in zip(iterates, jacobians):
-        assert all(np.array_equal(a, b) for a, b in zip(free, (free_theta, free_V)))
+    for (theta, V), J in zip(iterates, jacobians):
         # the documented block formula, assembled as a whole; compared with signs of zeros
-        tt, tv, vv = network._hessian_blocks(theta, V, system.net.B)
+        H = gc.network_hessian(theta, V, system.net.B)
+        tt, tv, vv = H[0::2, 0::2], H[0::2, 1::2], H[1::2, 1::2]
         Q = gc.power_balance(theta, V, system.net)[1]
         full = np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
         bits = gc.power_flow_jacobian(theta, V, system.net.B).view(np.uint64)
@@ -198,24 +200,75 @@ def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
         assert np.array_equal(J.view(np.uint64), full[np.ix_(rows, rows)].view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [3, 9, 50, 500])
-def test_hessian_kernels_equal_the_reference_formula(n):
-    # from n = 9 on, the diagonals' row sums take numpy's 8-way pairwise blocks; the angles
-    # and magnitudes come as the simulator's strided views of one interleaved vector
-    rng = np.random.default_rng(n)
+def _meshed_point(rng, n):
+    """A random meshed susceptance matrix at n buses and interleaved voltages there."""
     lines = [Line(int(rng.integers(0, j)), j, float(rng.uniform(2.0, 40.0))) for j in range(1, n)]
     lines += [Line(int(i), int(j), float(rng.uniform(2.0, 40.0)))
               for i, j in (rng.choice(n, size=2, replace=False) for _ in range(n // 2))]
-    B = gc.build_susceptance(n, lines)
     v = np.empty(2 * n)
     v[0::2] = rng.uniform(-0.5, 0.5, n)
     v[1::2] = rng.uniform(0.9, 1.1, n)
+    return gc.build_susceptance(n, lines), v
+
+
+@pytest.mark.parametrize("n", [3, 9, 50, 500])
+def test_hessian_kernels_equal_the_reference_formula(n):
+    # the line reference's plain loops, at sizes where numpy would sum rows in 8-way pairwise
+    # blocks; the angles and magnitudes come as the simulator's strided views of one vector
+    B, v = _meshed_point(np.random.default_rng(n), n)
     theta, V = v[0::2], v[1::2]
-    want = network_hessian_reference(theta, V, B).view(np.uint64)
-    for terms in (None, network._angle_terms(theta, V, B)):
-        assert np.array_equal(gc.network_hessian(theta, V, B, terms).view(np.uint64), want)
-    assert np.array_equal(gc.power_flow_jacobian(theta, V, B).view(np.uint64),
-                          power_flow_jacobian_reference(theta, V, B).view(np.uint64))
+    P_ref, Q_ref, H_ref = network_line_reference(theta, V, B)
+    for got, want in zip((*gc.power_balance(theta, V, Network(n, B)),
+                          gc.network_hessian(theta, V, B), gc.power_flow_jacobian(theta, V, B)),
+                         (P_ref, Q_ref, H_ref, power_flow_jacobian_line_reference(theta, V, B))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 50, 500])
+def test_line_kernel_agrees_with_the_dense_formula(n):
+    # the dense formula over every bus pair, as first written: below 8 buses numpy sums its
+    # rows left to right from +0.0, so every sum and nonzero entry keeps its bits; from 8 on
+    # its pairwise sums move the last bits, within 1e-13 of each row's scale
+    B, v = _meshed_point(np.random.default_rng(200 + n), n)
+    theta, V = v[0::2], v[1::2]
+    W = np.abs(B) * np.outer(V, V)  # the magnitudes of each row's (P, Q) terms
+    dense_H = network_hessian_reference(theta, V, B)
+    dense_J = power_flow_jacobian_reference(theta, V, B)
+    D = np.subtract.outer(theta, theta)
+    dense_P = (np.sin(D) * (B * np.outer(V, V))).sum(axis=1)
+    dense_Q = -(np.cos(D) * (B * np.outer(V, V))).sum(axis=1)
+    P, Q = gc.power_balance(theta, V, Network(n, B))
+    pairs = [(P, dense_P, W.sum(axis=1)), (Q, dense_Q, W.sum(axis=1)),
+             (gc.network_hessian(theta, V, B), dense_H, np.abs(dense_H).sum(axis=1)),
+             (gc.power_flow_jacobian(theta, V, B), dense_J, np.abs(dense_J).sum(axis=1))]
+    for got, want, scale in pairs:
+        if n < 8:
+            assert np.array_equal(got, want)  # zeros of either sign off the lines
+            nonzero = want != 0
+            assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+        else:
+            gap = np.abs(got - want)
+            assert np.all(gap <= 1e-13 * (scale[:, None] if got.ndim == 2 else scale))
+
+
+def test_trig_work_scales_with_the_lines(monkeypatch):
+    # one cos and one sin per off-diagonal nonzero of B in each evaluation, not per bus pair
+    system, point = random_system(np.random.default_rng(5), n_bus=50)
+    B = system.net.B
+    off_diagonal = np.count_nonzero(B) - np.count_nonzero(np.diag(B))
+    assert off_diagonal < 50 * 49 // 4
+    counts = {"cos": 0, "sin": 0}
+    for name in counts:
+        def counting(x, _f=getattr(math, name), _name=name):
+            counts[_name] += 1
+            return _f(x)
+        monkeypatch.setattr(math, name, counting)
+    for evaluate in (lambda: gc.power_balance(point.theta, point.V, system.net),
+                     lambda: gc.network_hessian(point.theta, point.V, B),
+                     lambda: gc.power_flow_jacobian(point.theta, point.V, B)):
+        counts.update(cos=0, sin=0)
+        evaluate()
+        assert counts == {"cos": off_diagonal, "sin": off_diagonal}
 
 
 def _kernel_points(rng, n):
@@ -237,39 +290,39 @@ def _kernel_points(rng, n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_simulator_network_kernel_equals_the_array_kernel(n, monkeypatch):
-    # below 8 buses the voltage Newton's network terms are Python floats, from 8 on numpy
-    # arrays; both must give power_balance and network_hessian, alone and plus the device
-    # blocks, signs of zeros included
+def test_simulator_network_kernel_equals_the_array_kernel(n):
+    # the voltage Newton's evaluation, on the lists it passes, gives power_balance and
+    # network_hessian, alone and plus the device blocks, and the line reference's bits,
+    # signs of zeros included
     rng = np.random.default_rng(100 + n)
-    array_builds = []
-    monkeypatch.setattr(network, "network_hessian",
-                        lambda *args: array_builds.append(n) or gc.network_hessian(*args))
     for B, v in _kernel_points(rng, n):
         theta, V = v[0::2], v[1::2]
         # per bus a random block, a load's (zeros but for (V, V)) or zeros
         blocks = [rng.choice([rng.normal(size=3), [0.0, 0.0, rng.normal()], [0.0] * 3]).tolist()
                   for _ in range(n)]
-        evaluate, with_blocks = network._voltage_kernel(B)
-        P, Q, hessian = evaluate(v, v.tolist())
+        lines = Network(n, B)._lines
+        values = v.tolist()
+        P, Q, hessian = lines.evaluate(values[0::2], values[1::2])
+        P_ref, Q_ref, H_ref = network_line_reference(theta, V, B)
         H = gc.network_hessian(theta, V, B)
-        for j, (h_tt, h_tV, h_VV) in zip(range(0, 2 * n, 2), blocks):
-            H[j, j] += h_tt
-            H[j, j + 1] += h_tV
-            H[j + 1, j] += h_tV
-            H[j + 1, j + 1] += h_VV
+        for H_sum in (H, H_ref):
+            for j, (h_tt, h_tV, h_VV) in zip(range(0, 2 * n, 2), blocks):
+                H_sum[j, j] += h_tt
+                H_sum[j, j + 1] += h_tV
+                H_sum[j + 1, j] += h_tV
+                H_sum[j + 1, j + 1] += h_VV
         P_array, Q_array = gc.power_balance(theta, V, Network(n, B))
-        for got, want in zip((P, Q, with_blocks(hessian, blocks)), (P_array, Q_array, H)):
-            assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
-        if n < network._FLOAT_BUSES:  # the float kernel's three blocks, interleaved
-            hessian = np.array(network._interleaved(n)(sum(hessian, []))).reshape(2 * n, 2 * n)
-        assert np.array_equal(hessian.view(np.uint64),
-                              gc.network_hessian(theta, V, B).view(np.uint64))
-    assert bool(array_builds) == (n >= 8)
+        for got, wants in ((np.array(P), (P_array, P_ref)), (np.array(Q), (Q_array, Q_ref)),
+                           (lines.hessian(hessian, blocks), (H, H_ref)),
+                           (lines.hessian(hessian), (gc.network_hessian(theta, V, B),
+                                                     network_line_reference(theta, V, B)[2]))):
+            for want in wants:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_numpy_rounds_like_the_float_kernel():
-    # the float kernel's two premises about numpy, each failure naming the one that broke
+    # the premises on which the line kernel's Python floats equal the dense formula's numpy
+    # arrays below 8 buses, each failure naming the one that broke
     rng = np.random.default_rng(12)
     for k in range(1, 8):
         A = rng.normal(size=(200, k)) * 10.0 ** rng.integers(-6, 7, size=(200, k))

@@ -245,9 +245,10 @@ class TestReferenceEquality:
 
     def test_evaluations_per_solve(self, monkeypatch):
         # each Newton iterate takes one network evaluation and, unless it converged, one
-        # linear solve; each stage's first iterate reuses the evaluation its start ended with
+        # linear solve; each stage's first iterate reuses the evaluation its start ended with.
+        # The one other evaluation is the storage's power_balance at the equilibrium
         system, eq = fixture_system(None)
-        counts = {"solves": 0, "evaluations": 0, "linear": 0}
+        counts = {"solves": 0, "evaluations": 0, "balances": 0, "linear": 0}
 
         def counting(key, fn):
             def counted(*args):
@@ -257,11 +258,13 @@ class TestReferenceEquality:
 
         monkeypatch.setattr(simulation, "_voltage_newton",
                             counting("solves", simulation._voltage_newton))
-        monkeypatch.setattr(network, "_float_network",
-                            counting("evaluations", network._float_network))
+        monkeypatch.setattr(network._Lines, "evaluate",
+                            counting("evaluations", network._Lines.evaluate))
+        monkeypatch.setattr(simulation, "power_balance",
+                            counting("balances", simulation.power_balance))
         monkeypatch.setattr(np.linalg, "solve", counting("linear", np.linalg.solve))
         simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=5e-4, t_end=0.005)
-        assert counts == {"solves": 41, "evaluations": 76, "linear": 75}
+        assert counts == {"solves": 41, "evaluations": 76 + 1, "balances": 1, "linear": 75}
 
 
 class TestSimulate:

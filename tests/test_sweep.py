@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import certificate, cli, devices, sweep
+from gridcert import cli, devices, sweep
 from gridcert import system as system_module
 from gridcert.certificate import bus_stiffness_block, synchronizing_coefficient
 from gridcert.linearization import DegenerateEquilibriumError, _spectrum_verdicts
@@ -159,8 +159,10 @@ def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
 
 def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
     # the benchmark grid: no kernel rejects a point, so no stack is evaluated twice, and the
-    # swept device's closed forms are evaluated once per stack, over arrays of its points
+    # swept device's closed forms are evaluated once per stack, over arrays of its points,
+    # from one internal phase per stack
     calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "internal_phase": 0}
+    elements = []
     for name in ("eigh", "eigvalsh", "eigvals"):
         def counting(a, _original=getattr(np.linalg, name), _name=name):
             calls[_name] += 1
@@ -169,9 +171,9 @@ def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
 
     def counting_phase(op, X_q, _original=devices.internal_phase):
         calls["internal_phase"] += 1
+        elements.append(np.size(X_q))
         return _original(op, X_q)
-    for module in (devices, certificate):
-        monkeypatch.setattr(module, "internal_phase", counting_phase)
+    monkeypatch.setattr(devices, "internal_phase", counting_phase)
     grid = np.linspace(0.1, 12, 40)
     for mode in ("forming", "following"):
         cfg = gc.apply_load_mode(fixture_cfg, mode)
@@ -182,8 +184,10 @@ def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
     # 4 of <= 455 following points (12 x 12) at 2**16 entries a stack
     assert sweep._STACK_ENTRIES == 2**16
     assert calls == {"eigh": 9, "eigvalsh": 9, "eigvals": 9}
-    # a handful of calls per stack, where one per point would be 3,200
-    assert 9 <= phases <= 8 * 9
+    # one per stack and one per other source bus: buses 1 and 2 forming, bus 1 following
+    # (bus 2 is a load there), where four per stack would be 36 + 12
+    assert phases == (5 + 2) + (4 + 1)
+    assert sum(elements) == (1600 + 2) + (1600 + 1)
 
 
 def _cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, per_stack):
