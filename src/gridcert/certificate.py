@@ -263,7 +263,7 @@ def certify(flow, system, bus_ids=None):
         if verdicts[0] is not None:
             return StabilityReport(gammas=gammas, verdict=verdicts[0], violating_bus=worst[0])
 
-    M = network_hessian(flow.theta, flow.V, system.net.B)
+    M = network_hessian(flow.theta, flow.V, system.net)
     for i, (_, block, _) in enumerate(terms):
         _add_stiffness(M, block, i, ids[i])
 

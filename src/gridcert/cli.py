@@ -136,17 +136,12 @@ def cmd_simulate(args):
                traj.W.tolist())
     for t, x, v, powers, W in rows:
         t_text, W_text = _fmt(t), _fmt(W)
-        for i, (dev, (P, Q)) in enumerate(zip(cfg.system.devices, powers)):
-            theta_i, V_i = v[2 * i], v[2 * i + 1]
-            state = x[slices[i]]
-            cells = {"delta": "", "omega": "", "E_q": "", "E_d": ""}
-            for name, value in zip(dev.state_names, state):
-                cells[name] = _fmt(value)
-            buf.write(",".join([
-                t_text, str(cfg.bus_ids[i]), _fmt(theta_i), _fmt(V_i),
-                _fmt(P), _fmt(Q), cells["delta"], cells["omega"],
-                cells["E_q"], cells["E_d"], W_text,
-            ]) + "\n")
+        for i, (P, Q) in enumerate(powers):
+            # each kind's state_names is a prefix of (delta, omega, E_q, E_d)
+            states = [_fmt(value) for value in x[slices[i]]]
+            buf.write(",".join([t_text, str(cfg.bus_ids[i]), _fmt(v[2 * i]), _fmt(v[2 * i + 1]),
+                                _fmt(P), _fmt(Q), *states, *[""] * (4 - len(states)),
+                                W_text]) + "\n")
     _emit(buf.getvalue(), args.out)
     if traj.truncated:
         print(traj.diagnostic, file=sys.stderr)

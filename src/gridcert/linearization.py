@@ -108,7 +108,7 @@ def assemble_energy_hessian(system: PowerSystem, eq: Equilibrium):
     n_x = system.n_states
     slices = system.state_slices()
     blocks = ([], np.zeros((n_x, 2 * system.n_bus)),
-              network_hessian(eq.flow.theta, eq.flow.V, system.net.B))
+              network_hessian(eq.flow.theta, eq.flow.V, system.net))
     for i, dev in enumerate(system.devices):
         Hd = dev.energy_hessian(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
                                 eq.setpoints[i], system.omega0)

@@ -15,11 +15,11 @@ B is sparse: a bus couples only to its neighbours over lines. One kernel,
 `_Lines.evaluate`, forms P, Q and the Hessian's entries over B's nonzero
 entries alone, on Python floats, and the power flow, `power_balance`,
 `network_hessian`, `power_flow_jacobian` and the simulator's voltage Newton
-all call it; the entries are scattered into dense arrays through indices
-formed once per network (Tinney & Hart, "Power flow solution by Newton's
-method", IEEE Trans. PAS-86(11), 1967, build Newton's power flow on the same
-sparsity). Its cos and sin are formed once per off-diagonal entry rather than
-for every bus pair.
+all call it, through the `_Lines` a `Network` builds once and holds; the
+entries are scattered into dense arrays through indices formed there
+(Tinney & Hart, "Power flow solution by Newton's method", IEEE Trans.
+PAS-86(11), 1967, build Newton's power flow on the same sparsity). Its cos
+and sin are formed once per off-diagonal entry rather than for every bus pair.
 """
 
 from __future__ import annotations
@@ -290,27 +290,27 @@ def power_balance(theta, V, net):
     return np.array(P), np.array(Q)
 
 
-def network_hessian(theta, V, B):
+def network_hessian(theta, V, net):
     """2N x 2N Hessian of the network energy over interleaved (theta_i, V_i).
 
-    Built from the susceptance matrix and the voltage phasors alone; it is
-    the Jacobian of (P, Q/V), the transmission network's contribution to the
-    stability condition, and annihilates the uniform phase-shift direction.
-    Its entries are formed over B's nonzero entries only.
+    Built from the susceptance matrix of Network `net` and the voltage
+    phasors alone; it is the Jacobian of (P, Q/V), the transmission network's
+    contribution to the stability condition, and annihilates the uniform
+    phase-shift direction. Its entries are formed over the network's lines
+    only, by the kernel the network holds.
     """
-    lines = _Lines(B)
-    return lines.hessian(_terms(theta, V, lines)[2])
+    return net._lines.hessian(_terms(theta, V, net._lines)[2])
 
 
-def power_flow_jacobian(theta, V, B):
-    """Full Jacobian of (P, Q) with respect to (theta, V), ordered block-wise.
+def power_flow_jacobian(theta, V, net):
+    """Full Jacobian of (P, Q) with respect to (theta, V) at the buses of Network `net`.
 
-    Rows are (P_1..P_N, Q_1..Q_N), columns (theta_1..theta_N, V_1..V_N).
-    With H the network Hessian, the Jacobian of (P, Q/V), it is
-    [[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]].
+    Ordered block-wise: rows are (P_1..P_N, Q_1..Q_N), columns
+    (theta_1..theta_N, V_1..V_N). With H the network Hessian, the Jacobian of
+    (P, Q/V), it is [[H_tt, H_tv], [V H_vt, V H_vv + diag(Q/V)]].
     """
     V = np.asarray(V, dtype=float)
-    lines = _Lines(B)
+    lines = net._lines
     _, Q, h = _terms(theta, V, lines)
     every = np.arange(V.size)
     return _jacobian(lines.jacobian_index(every, every), V, np.array(Q), h)

@@ -275,7 +275,8 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     truncated and returned with a diagnostic instead of raising. `dt` and
     `t_end` must be positive and finite, else ValueError names the one that
     is not; so does a step count `t_end / dt` that overflows or exceeds
-    sys.maxsize, which no trajectory could hold.
+    sys.maxsize, which no trajectory could hold, or that is not a whole
+    number (within 1e-9 of t_end), as no run of whole steps ends at t_end.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not 0 < value < math.inf:  # also rejects nan
@@ -285,6 +286,8 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
         raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g} "
                          f"(a trajectory holds at most {sys.maxsize} steps)")
     n_steps = int(round(n_steps))
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:  # also rejects a run of no steps
+        raise ValueError(f"t_end / dt must be a whole number of steps, got {t_end:g} / {dt:g}")
     setpoints = eq.setpoints
     slices = system.state_slices()
     storage = _storage(system, eq)

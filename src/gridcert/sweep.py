@@ -94,7 +94,7 @@ class _Sweep:
         n, n_x = system.n_bus, system.n_states
         ops = [system.operating_point(flow, i) for i in range(n)]
         self.theta, self.op = float(flow.theta[bus]), ops[bus]
-        nh = network_hessian(flow.theta, flow.V, system.net.B)
+        nh = network_hessian(flow.theta, flow.V, system.net)
         self.Z = _complement_basis(structural_null_vector(n))
         slices = system.state_slices()
         self.states = slices[bus]

@@ -142,7 +142,7 @@ def energy_hessian_reference(system, eq):
     """
     n, n_x = system.n_bus, system.n_states
     H = np.zeros((n_x + 2 * n, n_x + 2 * n))
-    H[n_x:, n_x:] = network_hessian(eq.flow.theta, eq.flow.V, system.net.B)
+    H[n_x:, n_x:] = network_hessian(eq.flow.theta, eq.flow.V, system.net)
     for i, (dev, states) in enumerate(zip(system.devices, system.state_slices())):
         Hd = dev.energy_hessian(eq.states[i], float(eq.flow.theta[i]), float(eq.flow.V[i]),
                                 eq.setpoints[i], system.omega0)
@@ -157,7 +157,7 @@ def energy_hessian_reference(system, eq):
 
 def condition_matrix(system, flow):
     """The certificate's condition matrix: the network Hessian plus each bus's stiffness block."""
-    M = network_hessian(flow.theta, flow.V, system.net.B)
+    M = network_hessian(flow.theta, flow.V, system.net)
     for i, dev in enumerate(system.devices):
         op = system.operating_point(flow, i)
         M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (
@@ -351,7 +351,7 @@ def solve_bus_voltages_reference(system, x, v_guess, setpoints):
         g = np.empty_like(v)
         g[0::2] = P_net
         g[1::2] = Q_net / V
-        H = gc.network_hessian(theta, V, system.net.B)
+        H = gc.network_hessian(theta, V, system.net)
         for i, dev in enumerate(system.devices):
             args = (states[i], theta[i], V[i], setpoints[i], system.omega0)
             g[2 * i:2 * i + 2] += dev.energy_gradient(*args)[-2:]

@@ -179,18 +179,18 @@ def test_criterion_4_hessians_match_finite_differences():
         ok &= check(load.energy_hessian(np.zeros(0), z2[0], z2[1]),
                     lambda y: load.energy(np.zeros(0), y[0], y[1]), z2)
 
-    B = gc.build_susceptance(3, [gc.Line(0, 1, 20.0), gc.Line(1, 2, 35.0)])
+    net = gc.Network.from_lines(3, [gc.Line(0, 1, 20.0), gc.Line(1, 2, 35.0)])
 
     def line_energy(z):
         th, vv = z[0::2], z[1::2]
         Dm = np.subtract.outer(th, th)
-        return -0.5 * (B * np.outer(vv, vv) * np.cos(Dm)).sum()
+        return -0.5 * (net.B * np.outer(vv, vv) * np.cos(Dm)).sum()
 
     for _ in range(100):
         z = np.empty(6)
         z[0::2] = rng.uniform(-1.0, 1.0, 3)
         z[1::2] = rng.uniform(0.9, 1.1, 3)
-        ok &= check(network_hessian(z[0::2], z[1::2], B), line_energy, z)
+        ok &= check(network_hessian(z[0::2], z[1::2], net), line_energy, z)
 
     report(4, "Hessians vs finite differences", ok, f"worst relative error {worst:.2e}")
 

@@ -102,8 +102,8 @@ class TestLoadStiffnessBlock:
 
 class TestNetworkHessian:
     def test_flat_two_bus(self):
-        B = gc.build_susceptance(2, [gc.Line(0, 1, 1.0)])
-        L = network_hessian(np.zeros(2), np.ones(2), B)
+        net = gc.Network.from_lines(2, [gc.Line(0, 1, 1.0)])
+        L = network_hessian(np.zeros(2), np.ones(2), net)
         expected = np.array([
             [1.0, 0.0, -1.0, 0.0],
             [0.0, 1.0, 0.0, -1.0],
@@ -114,24 +114,24 @@ class TestNetworkHessian:
 
     def test_annihilates_phase_shift_direction(self):
         rng = np.random.default_rng(23)
-        B = gc.build_susceptance(4, [gc.Line(0, 1, 12.0), gc.Line(1, 2, 30.0),
-                                     gc.Line(2, 3, 8.0), gc.Line(0, 2, 20.0)])
+        net = gc.Network.from_lines(4, [gc.Line(0, 1, 12.0), gc.Line(1, 2, 30.0),
+                                        gc.Line(2, 3, 8.0), gc.Line(0, 2, 20.0)])
         for _ in range(10):
             theta = rng.uniform(-1.0, 1.0, 4)
             V = rng.uniform(0.9, 1.1, 4)
-            L = network_hessian(theta, V, B)
+            L = network_hessian(theta, V, net)
             n = structural_null_vector(4)
             assert np.max(np.abs(L @ n)) < 1e-10
             assert np.max(np.abs(L - L.T)) < 1e-12
 
     def test_matches_numerical_hessian_of_line_energy(self):
         rng = np.random.default_rng(24)
-        B = gc.build_susceptance(3, [gc.Line(0, 1, 20.0), gc.Line(1, 2, 35.0)])
+        net = gc.Network.from_lines(3, [gc.Line(0, 1, 20.0), gc.Line(1, 2, 35.0)])
 
         def line_energy(z):
             th, vv = z[0::2], z[1::2]
             D = np.subtract.outer(th, th)
-            W = B * np.outer(vv, vv)
+            W = net.B * np.outer(vv, vv)
             return -0.5 * (W * np.cos(D)).sum()
 
         for _ in range(10):
@@ -140,7 +140,7 @@ class TestNetworkHessian:
             z = np.empty(6)
             z[0::2] = theta
             z[1::2] = V
-            L = network_hessian(theta, V, B)
+            L = network_hessian(theta, V, net)
             Lfd = fd_hessian(line_energy, z, h=1e-3, refine=True)
             assert np.max(np.abs(L - Lfd)) / max(1.0, np.max(np.abs(L))) < 1e-8
 
@@ -171,7 +171,7 @@ class TestCertify:
             mc = gc.apply_load_mode(cfg, mode) if mode else cfg
             flow = solved(mc)
             report = certify(flow, mc.system)
-            M = network_hessian(flow.theta, flow.V, mc.system.net.B)
+            M = network_hessian(flow.theta, flow.V, mc.system.net)
             for i, dev in enumerate(mc.system.devices):
                 op = mc.system.operating_point(flow, i)
                 M[2 * i:2 * i + 2, 2 * i:2 * i + 2] += (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gridcert as gc
-from gridcert import cli, devices
+from gridcert import cli, devices, network
 from gridcert.cli import main
 
 from _oracles import (
@@ -426,8 +426,9 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: vsg stationary state residual")
 
-    # step options simulate rejects, and the message naming each: all but the last before it
-    # loads the config; the last --dt and --t-end are positive and finite, their ratio is not
+    # step options simulate rejects, and the message naming each: the first five before it
+    # loads the config; in the last four --dt and --t-end are positive and finite, but their
+    # ratio is no step count a trajectory can hold or that ends at --t-end
     BAD_OPTIONS = [
         (["--dt", "0"], "--dt must be positive and finite, got 0.0"),
         (["--dt", "nan"], "--dt must be positive and finite, got nan"),
@@ -438,6 +439,10 @@ class TestSimulate:
                                                 "(a trajectory holds at most 9223372036854775807 steps)"),
         (["--dt", "1e-300"], "t_end / dt must be finite, got 1 / 1e-300 "
                              "(a trajectory holds at most 9223372036854775807 steps)"),
+        (["--dt", "1", "--t-end", "0.2"],
+         "t_end / dt must be a whole number of steps, got 0.2 / 1"),
+        (["--dt", "0.3", "--t-end", "0.2"],
+         "t_end / dt must be a whole number of steps, got 0.2 / 0.3"),
     ]
 
     @pytest.mark.parametrize("options, message", BAD_OPTIONS)
@@ -687,3 +692,24 @@ class TestSweep:
                 return v_cert
             return v_eig if min_eig else "gamma"  # no min_eig: a coefficient decided
         assert {kind(row) for row in rows} == kinds
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["eigen"],
+    ["sweep", "--sweep-bus", "3", "--xd-range", "0.1:4:2", "--xq-range", "0.1:4:2"],
+])
+def test_each_command_builds_the_line_kernel_once(capsys, monkeypatch, argv):
+    # the power flow, the certificate, the eigenvalue oracle and both sweep modes evaluate
+    # the network through the one line kernel its Network holds
+    builds = []
+    init = network._Lines.__init__
+
+    def counting(lines, B):
+        builds.append(B.shape)
+        init(lines, B)
+
+    monkeypatch.setattr(network._Lines, "__init__", counting)
+    code, _, _ = run(capsys, [argv[0], "--config", FIXTURE, "--no-timestamp", *argv[1:]])
+    assert code == 0
+    assert builds == [(3, 3)]

@@ -109,7 +109,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(10):
         theta = rng.uniform(-0.8, 0.8, 4)
         V = rng.uniform(0.9, 1.1, 4)
-        J = gc.power_flow_jacobian(theta, V, net.B)
+        J = gc.power_flow_jacobian(theta, V, net)
 
         def pq(z):
             P, Q = gc.power_balance(z[:4], z[4:], net)
@@ -191,11 +191,11 @@ def test_newton_jacobian_is_the_full_one_restricted(monkeypatch):
     rows = np.concatenate([free_theta, 50 + free_V])
     for (theta, V), J in zip(iterates, jacobians):
         # the documented block formula, assembled as a whole; compared with signs of zeros
-        H = gc.network_hessian(theta, V, system.net.B)
+        H = gc.network_hessian(theta, V, system.net)
         tt, tv, vv = H[0::2, 0::2], H[0::2, 1::2], H[1::2, 1::2]
         Q = gc.power_balance(theta, V, system.net)[1]
         full = np.block([[tt, tv], [V[:, None] * tv.T, V[:, None] * vv + np.diag(Q / V)]])
-        bits = gc.power_flow_jacobian(theta, V, system.net.B).view(np.uint64)
+        bits = gc.power_flow_jacobian(theta, V, system.net).view(np.uint64)
         assert np.array_equal(bits, full.view(np.uint64))
         assert np.array_equal(J.view(np.uint64), full[np.ix_(rows, rows)].view(np.uint64))
 
@@ -217,9 +217,10 @@ def test_hessian_kernels_equal_the_reference_formula(n):
     # blocks; the angles and magnitudes come as the simulator's strided views of one vector
     B, v = _meshed_point(np.random.default_rng(n), n)
     theta, V = v[0::2], v[1::2]
+    net = Network(n, B)
     P_ref, Q_ref, H_ref = network_line_reference(theta, V, B)
-    for got, want in zip((*gc.power_balance(theta, V, Network(n, B)),
-                          gc.network_hessian(theta, V, B), gc.power_flow_jacobian(theta, V, B)),
+    for got, want in zip((*gc.power_balance(theta, V, net),
+                          gc.network_hessian(theta, V, net), gc.power_flow_jacobian(theta, V, net)),
                          (P_ref, Q_ref, H_ref, power_flow_jacobian_line_reference(theta, V, B))):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -237,10 +238,11 @@ def test_line_kernel_agrees_with_the_dense_formula(n):
     D = np.subtract.outer(theta, theta)
     dense_P = (np.sin(D) * (B * np.outer(V, V))).sum(axis=1)
     dense_Q = -(np.cos(D) * (B * np.outer(V, V))).sum(axis=1)
-    P, Q = gc.power_balance(theta, V, Network(n, B))
+    net = Network(n, B)
+    P, Q = gc.power_balance(theta, V, net)
     pairs = [(P, dense_P, W.sum(axis=1)), (Q, dense_Q, W.sum(axis=1)),
-             (gc.network_hessian(theta, V, B), dense_H, np.abs(dense_H).sum(axis=1)),
-             (gc.power_flow_jacobian(theta, V, B), dense_J, np.abs(dense_J).sum(axis=1))]
+             (gc.network_hessian(theta, V, net), dense_H, np.abs(dense_H).sum(axis=1)),
+             (gc.power_flow_jacobian(theta, V, net), dense_J, np.abs(dense_J).sum(axis=1))]
     for got, want, scale in pairs:
         if n < 8:
             assert np.array_equal(got, want)  # zeros of either sign off the lines
@@ -264,8 +266,8 @@ def test_trig_work_scales_with_the_lines(monkeypatch):
             return _f(x)
         monkeypatch.setattr(math, name, counting)
     for evaluate in (lambda: gc.power_balance(point.theta, point.V, system.net),
-                     lambda: gc.network_hessian(point.theta, point.V, B),
-                     lambda: gc.power_flow_jacobian(point.theta, point.V, B)):
+                     lambda: gc.network_hessian(point.theta, point.V, system.net),
+                     lambda: gc.power_flow_jacobian(point.theta, point.V, system.net)):
         counts.update(cos=0, sin=0)
         evaluate()
         assert counts == {"cos": off_diagonal, "sin": off_diagonal}
@@ -300,21 +302,22 @@ def test_simulator_network_kernel_equals_the_array_kernel(n):
         # per bus a random block, a load's (zeros but for (V, V)) or zeros
         blocks = [rng.choice([rng.normal(size=3), [0.0, 0.0, rng.normal()], [0.0] * 3]).tolist()
                   for _ in range(n)]
-        lines = Network(n, B)._lines
+        net = Network(n, B)
+        lines = net._lines
         values = v.tolist()
         P, Q, hessian = lines.evaluate(values[0::2], values[1::2])
         P_ref, Q_ref, H_ref = network_line_reference(theta, V, B)
-        H = gc.network_hessian(theta, V, B)
+        H = gc.network_hessian(theta, V, net)
         for H_sum in (H, H_ref):
             for j, (h_tt, h_tV, h_VV) in zip(range(0, 2 * n, 2), blocks):
                 H_sum[j, j] += h_tt
                 H_sum[j, j + 1] += h_tV
                 H_sum[j + 1, j] += h_tV
                 H_sum[j + 1, j + 1] += h_VV
-        P_array, Q_array = gc.power_balance(theta, V, Network(n, B))
+        P_array, Q_array = gc.power_balance(theta, V, net)
         for got, wants in ((np.array(P), (P_array, P_ref)), (np.array(Q), (Q_array, Q_ref)),
                            (lines.hessian(hessian, blocks), (H, H_ref)),
-                           (lines.hessian(hessian), (gc.network_hessian(theta, V, B),
+                           (lines.hessian(hessian), (gc.network_hessian(theta, V, net),
                                                      network_line_reference(theta, V, B)[2]))):
             for want in wants:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

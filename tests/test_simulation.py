@@ -336,6 +336,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
             simulate(system, eq, dt=dt, t_end=t_end)
 
+    @pytest.mark.parametrize("dt", [1.0, 0.3])
+    def test_horizon_must_be_a_whole_number_of_steps(self, dt, monkeypatch):
+        # 0.2 / 1.0 rounds to no step at all, 0.2 / 0.3 to one step that ends at t = 0.3
+        system, eq = fast_three_bus()
+        monkeypatch.setattr(simulation, "_voltage_newton", None)  # no solve may start
+        with pytest.raises(ValueError, match=rf"^t_end / dt must be a whole number of steps, "
+                                             rf"got 0\.2 / {dt:g}$"):
+            simulate(system, eq, dt=dt, t_end=0.2)
+
     def test_step_count_overflow_raises(self):
         system, eq = fast_three_bus()
         with pytest.raises(ValueError, match=r"t_end / dt must be finite"):
