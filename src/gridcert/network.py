@@ -151,14 +151,28 @@ def _check_connected(n_bus, B):
 
 @dataclass(frozen=True)
 class Network:
-    """Lossless network: bus count and susceptance matrix."""
+    """Lossless network: bus count and susceptance matrix.
+
+    B is held read-only, so the line kernel cached from it stays its image: a
+    write into `B` raises, and a later write into the array the network was
+    made from does not reach it. That array is copied unless it is read-only
+    and owns its data, as `from_lines` makes it.
+    """
 
     n_bus: int
     B: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        if self.B.flags.writeable or not self.B.flags.owndata:  # the caller may write into it
+            B = np.array(self.B, dtype=float)
+            B.flags.writeable = False
+            object.__setattr__(self, "B", B)
+
     @classmethod
     def from_lines(cls, n_bus, lines):
-        return cls(n_bus=n_bus, B=build_susceptance(n_bus, lines))
+        B = build_susceptance(n_bus, lines)
+        B.flags.writeable = False  # no copy: nothing else holds B
+        return cls(n_bus=n_bus, B=B)
 
     @functools.cached_property
     def _lines(self):

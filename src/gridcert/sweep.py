@@ -17,11 +17,21 @@ own, wherever the stacks are cut. A kernel raises if it rejects any point
 of its stack; the sweep then halves the stack and evaluates each half
 again, until the failing point stands alone and is infeasible in that
 column. A clean stack takes one call per kernel.
+
+Stacks are independent, and most of a stack's time is spent in LAPACK's
+stacked calls, which release the interpreter lock; so on several CPUs a pool
+of one thread per CPU evaluates them concurrently, with at most 2 x CPUs
+stacks alive at once, and yields their rows in grid order. The worker count
+follows the CPU set the process may run on (`taskset`, for example), not an
+option; on one CPU no thread is started. The output is the same whatever the
+CPU count or the stack cut.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import os
 
 import numpy as np
 
@@ -130,16 +140,47 @@ class _Sweep:
 
     def points(self, xd_values, xq_values):
         """(x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) over the grid, X_d-major,
-        evaluated in stacks of at most max(1, _STACK_ENTRIES // size**2) points."""
+        evaluated in stacks of at most max(1, _STACK_ENTRIES // size**2) points.
+
+        On one CPU the stacks are evaluated here, one after another. Otherwise a
+        pool of one thread per CPU evaluates them, at most 2 x CPUs stacks
+        alive at once, and their rows are yielded in grid order; an exception
+        from a stack is raised after the rows of the stacks before it. The
+        pool is shut down when the generator finishes, raises or is closed.
+        """
         grid = itertools.product(xd_values, xq_values)
         per_stack = max(1, _STACK_ENTRIES // self.size**2)
-        while stack := list(itertools.islice(grid, per_stack)):
-            xd, xq = np.array(stack, dtype=float).T
-            for point, verdicts in zip(stack, self.evaluate(xd, xq)):
-                yield (*point, *verdicts)
+        stacks = iter(lambda: list(itertools.islice(grid, per_stack)), [])
+        cpus = _cpus()
+        if cpus == 1:
+            for stack in stacks:
+                yield from self._rows(stack)
+            return
+        from concurrent.futures import ThreadPoolExecutor  # only a sweep on several CPUs pays it
+
+        pool, window = ThreadPoolExecutor(cpus), collections.deque()
+        try:
+            for stack in stacks:
+                window.append(pool.submit(self._rows, stack))
+                if len(window) == 2 * cpus:
+                    yield from window.popleft().result()
+            while window:
+                yield from window.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _rows(self, stack):
+        """The rows of the grid points in the list `stack`."""
+        xd, xq = np.array(stack, dtype=float).T
+        return [(*point, *verdicts) for point, verdicts in zip(stack, self.evaluate(xd, xq))]
 
     def evaluate(self, xd, xq):
-        """(certificate verdict, eigenvalue verdict, min_eig) at each point (xd[k], xq[k])."""
+        """(certificate verdict, eigenvalue verdict, min_eig) at each point (xd[k], xq[k]).
+
+        Safe to run on several stacks at once from different threads: it reads
+        the sweep's fields and writes only arrays it makes for its own stack,
+        the copies of the fixed terms (`np.repeat`) included.
+        """
         n = len(xd)
         out = [np.full(n, value, dtype=object) for value in ("infeasible", "infeasible", None)]
         if not self.certifiable:
@@ -186,6 +227,14 @@ class _Sweep:
         R = np.repeat(self.R[None], len(points), axis=0)
         R[:, self.states, self.states] = dampings
         out[1][points] = _spectrum_verdicts(_spectra(R, _schur(blocks)[0]))[0]
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity
+        return os.cpu_count() or 1
 
 
 def _settle(out, column, evaluate, points, *stacks):

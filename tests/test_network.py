@@ -32,6 +32,26 @@ def test_susceptance_single_bus():
     assert np.array_equal(gc.build_susceptance(1, []), np.zeros((1, 1)))
 
 
+def test_network_holds_a_read_only_copy_of_b():
+    # the line kernel is cached from B on first use, so B must not change under it
+    B = gc.build_susceptance(2, [Line(0, 1, 1.0)])
+    net = Network(2, B)
+    theta, V = np.array([0.1, 0.0]), np.ones(2)
+    P = gc.power_balance(theta, V, net)[0]
+    B *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        net.B[0, 1] = 2.0
+    assert np.array_equal(net.B, B / 2.0)
+    assert np.array_equal(gc.power_balance(theta, V, net)[0], P)
+    # a read-only view of a writable array is copied too; from_lines's B is held as made
+    view = B.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(Network(2, view).B, B)
+    built = Network.from_lines(2, [Line(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="read-only"):
+        built.B[0, 0] = 0.0
+
+
 def test_susceptance_parallel_lines_sum():
     B = gc.build_susceptance(2, [Line(0, 1, 1.0), Line(1, 0, 2.5)])
     assert B[0, 1] == pytest.approx(3.5)

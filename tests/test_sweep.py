@@ -6,13 +6,21 @@ do not depend on where the grid is cut into stacks, a stack never holds more
 points than its memory bound allows, a stack a kernel rejects is halved until
 the rejected point stands alone, a clean stack is evaluated by one stacked
 call per kernel, and what the flow alone fixes is computed once per load
-mode. The kernels the sweep shares with `certify` and
+mode. Stacks evaluated by a thread pool give the rows of stacks evaluated
+one after another, in grid order, and neither an error nor an early close
+leaves a thread behind. The kernels the sweep shares with `certify` and
 `eigenvalue_verdict` are tested beside them, in test_certificate.py and
 test_linearization.py.
 """
 
+import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,17 +168,17 @@ def test_missing_equilibrium_makes_every_eigen_verdict_infeasible():
 def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
     # the benchmark grid: no kernel rejects a point, so no stack is evaluated twice, and the
     # swept device's closed forms are evaluated once per stack, over arrays of its points,
-    # from one internal phase per stack
-    calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "internal_phase": 0}
-    elements = []
+    # from one internal phase per stack. Stacks run on several threads, so each call is
+    # recorded by list.append, which is atomic, where `+= 1` could lose an update
+    calls, elements = [], []
     for name in ("eigh", "eigvalsh", "eigvals"):
         def counting(a, _original=getattr(np.linalg, name), _name=name):
-            calls[_name] += 1
+            calls.append(_name)
             return _original(a)
         monkeypatch.setattr(np.linalg, name, counting)
 
     def counting_phase(op, X_q, _original=devices.internal_phase):
-        calls["internal_phase"] += 1
+        calls.append("internal_phase")
         elements.append(np.size(X_q))
         return _original(op, X_q)
     monkeypatch.setattr(devices, "internal_phase", counting_phase)
@@ -179,6 +187,7 @@ def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
         cfg = gc.apply_load_mode(fixture_cfg, mode)
         rows = list(sweep_verdicts(cfg.system, solved(cfg), cfg.bus_ids.index(3), grid, grid))
         assert "infeasible" not in {v for row in rows for v in row[2:4]}
+    calls = collections.Counter(calls)
     phases = calls.pop("internal_phase")
     # 1,600 points per mode: 5 stacks of <= 334 forming points (energy Hessian 14 x 14) and
     # 4 of <= 455 following points (12 x 12) at 2**16 entries a stack
@@ -197,12 +206,15 @@ def _cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, per_stack):
     return list(sweep_verdicts(cfg.system, solved(cfg), bus, xd_values, xq_values))
 
 
+# X_d = 0 cannot be built; the rest of the grid is stable or unstable in both modes
+CUT_GRID = ([0.0, 0.1, 1.0, 3.0, 8.0, 12.0], [0.069, 0.4, 1.0, 1.6, 6.0])
+
+
 @pytest.mark.parametrize("mode", ["forming", "following"])
 def test_stack_cuts_do_not_change_the_sweep(fixture_cfg, monkeypatch, mode):
     cfg = gc.apply_load_mode(fixture_cfg, mode)
     bus = cfg.bus_ids.index(3)
-    # X_d = 0 cannot be built; the rest of the grid is stable or unstable in both modes
-    xd_values, xq_values = [0.0, 0.1, 1.0, 3.0, 8.0, 12.0], [0.069, 0.4, 1.0, 1.6, 6.0]
+    xd_values, xq_values = CUT_GRID
     # one point a stack, 7 (cutting the 5-point rows mid-row), and the whole grid as one stack
     one, seven, whole = (_cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, k)
                          for k in (1, 7, 30))
@@ -218,6 +230,103 @@ def test_stack_cuts_do_not_change_the_sweep(fixture_cfg, monkeypatch, mode):
                      for x_d in xd_values for x_q in xq_values]
     assert _cut_sweeps(monkeypatch, cfg, bus, [], xq_values, 7) == []
     assert _cut_sweeps(monkeypatch, cfg, bus, xd_values, [], 7) == []
+
+
+def _set_cpus(monkeypatch, count):
+    """Make the process look as if it may run on `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("mode", ["forming", "following"])
+def test_cpu_count_does_not_change_the_sweep(fixture_cfg, monkeypatch, mode):
+    # one point a stack: 30 stacks, evaluated in the consuming thread or by a pool of 4 threads
+    # that switch every microsecond, so that a write one stack made into another's would show
+    cfg = gc.apply_load_mode(fixture_cfg, mode)
+    bus = cfg.bus_ids.index(3)
+    rows, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            _set_cpus(monkeypatch, cpus)
+            rows.append(_cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == 30
+
+
+def test_one_cpu_starts_no_thread(fixture_cfg, monkeypatch):
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    counts = []
+    for cpus in (1, 4):
+        _set_cpus(monkeypatch, cpus)
+        started.clear()
+        _cut_sweeps(monkeypatch, cfg, cfg.bus_ids.index(3), *CUT_GRID, 1)
+        counts.append(len(started))
+    assert counts[0] == 0
+    assert 1 <= counts[1] <= 4  # the pool starts at most one thread per CPU
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_error_surfaces_after_the_earlier_stacks(fixture_cfg, monkeypatch, cpus):
+    # an exception no kernel expects leaves the sweep at its own stack, and no thread behind
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    bus = cfg.bus_ids.index(3)
+    _set_cpus(monkeypatch, cpus)
+    expected = _cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1)
+    third = expected[2][:2]
+    evaluate = sweep._Sweep.evaluate
+
+    def failing(self, xd, xq):
+        if (xd[0], xq[0]) == third:
+            raise RuntimeError("third stack")
+        return evaluate(self, xd, xq)
+
+    monkeypatch.setattr(sweep._Sweep, "evaluate", failing)
+    before, rows = threading.active_count(), []
+    with pytest.raises(RuntimeError, match="third stack"):
+        for row in sweep_verdicts(cfg.system, solved(cfg), bus, *CUT_GRID):
+            rows.append(row)
+    assert rows == expected[:2]
+    assert threading.active_count() == before
+
+
+def test_closing_early_stops_the_pool(fixture_cfg, monkeypatch):
+    cfg = gc.apply_load_mode(fixture_cfg, "forming")
+    bus = cfg.bus_ids.index(3)
+    _set_cpus(monkeypatch, 4)
+    expected = _cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1)
+    evaluated, evaluate = [], sweep._Sweep.evaluate
+
+    def recording(self, xd, xq):
+        evaluated.append(len(xd))
+        return evaluate(self, xd, xq)
+
+    monkeypatch.setattr(sweep._Sweep, "evaluate", recording)
+    before = threading.active_count()
+    points = sweep_verdicts(cfg.system, solved(cfg), bus, *CUT_GRID)
+    assert next(points) == expected[0]
+    assert threading.active_count() > before
+    points.close()
+    assert threading.active_count() == before
+    # of the 30 stacks, at most 2 x 4 were handed to the pool before the first row
+    assert 1 <= len(evaluated) <= 8
+
+
+def test_import_loads_no_thread_pool():
+    # the pool module is imported by a sweep on several CPUs, not with the package
+    code = "import sys, gridcert; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_stacks_stay_bounded_on_a_large_system(monkeypatch):
@@ -242,11 +351,11 @@ def test_stacks_stay_bounded_on_a_large_system(monkeypatch):
 def test_flow_terms_once_per_mode(capsys, monkeypatch):
     # the balance check's power_balance and the network Hessian run once per load mode, never
     # per stack or point
-    calls = {"network_hessian": 0, "power_balance": 0, "evaluate": 0}
+    calls = []  # appended to from the sweep's threads
     for owner, name in ((sweep, "network_hessian"), (system_module, "power_balance"),
                         (sweep._Sweep, "evaluate")):
         def counting(*args, _original=getattr(owner, name), _name=name):
-            calls[_name] += 1
+            calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(owner, name, counting)
     # 2 points a stack in both modes (energy Hessians 14 x 14 and 12 x 12): 5 stacks per mode
@@ -255,7 +364,7 @@ def test_flow_terms_once_per_mode(capsys, monkeypatch):
             "--xd-range", "0.1:4:3", "--xq-range", "0.1:4:3", "--no-timestamp"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 19  # header, then 9 points per mode
-    assert calls == {"network_hessian": 2, "power_balance": 2, "evaluate": 10}
+    assert collections.Counter(calls) == {"network_hessian": 2, "power_balance": 2, "evaluate": 10}
 
 
 def test_min_eig_equals_certify_bit_for_bit(fixture_cfg):
