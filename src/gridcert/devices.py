@@ -358,14 +358,14 @@ class Device:
 
     def state_derivative(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         src = self._source(state, theta, V, setpoint)
-        return self._state_derivative(state, src, src.power()[0], setpoint, omega0)
+        return np.array(self._state_derivative(state, src, src.power()[0], setpoint, omega0))
 
     def energy(self, state, theta, V, setpoint=None, omega0=OMEGA0_DEFAULT):
         return self._energy(state, self._source(state, theta, V, setpoint), omega0)
 
     # subclasses implement, with src from _source and P its active power:
     #   _source(state, theta, V, setpoint) -> _Source or _ConstantPower
-    #   _state_derivative(state, src, P, setpoint, omega0) -> ndarray
+    #   _state_derivative(state, src, P, setpoint, omega0) -> list, one entry per state
     #   _stationary_state(theta_star, op, setpoint) -> ndarray
     #   _energy(state, src, omega0) -> float
     #   energy_gradient(state, theta, V, setpoint, omega0) -> ndarray
@@ -413,12 +413,12 @@ class TwoAxisGenerator(Device):
         return _Source(state[0] - theta, V, state[2], state[3], *self.connection_reactances)
 
     def _state_derivative(self, state, src, P, setpoint, omega0):
-        return np.array([
+        return [
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
             (-state[2] - (self.X_d - self.X_d_prime) * src.I_d + setpoint.V_fd) / self.tau_d,
             (-state[3] + (self.X_q - self.X_q_prime) * src.I_q) / self.tau_q,
-        ])
+        ]
 
     def _stationary_state(self, theta_star, op, setpoint, phase):
         phi, cos_phi, sin_phi = phase[:3]
@@ -509,10 +509,10 @@ class VsgInverter(_GridFormingBase):
     state_names = ("delta", "omega")
 
     def _state_derivative(self, state, src, P, setpoint, omega0):
-        return np.array([
+        return [
             omega0 * state[1],
             (-self.D * state[1] - P + setpoint.P_m) / self.M,
-        ])
+        ]
 
     def _stationary_state(self, theta_star, op, setpoint, phase):
         phi = phase[0]
@@ -550,7 +550,7 @@ class DroopInverter(_GridFormingBase):
     state_names = ("delta",)
 
     def _state_derivative(self, state, src, P, setpoint, omega0):
-        return np.array([omega0 * (setpoint.P_m - P) / self.D])
+        return [omega0 * (setpoint.P_m - P) / self.D]
 
     def _stationary_state(self, theta_star, op, setpoint, phase):
         return np.array([theta_star + phase[0]])
@@ -607,7 +607,7 @@ class ConstantPowerLoad(Device):
         return _ConstantPower(self.P_ref, self.Q_ref, theta, V)
 
     def _state_derivative(self, state, src, P, setpoint, omega0):
-        return np.zeros(0)
+        return []
 
     def _energy(self, state, src, omega0):
         return -self.P_ref * src.theta - self.Q_ref * math.log(src.V)

@@ -25,6 +25,24 @@ Python floats and numpy scalars round alike, and each product, row sum and
 `np.dot` takes the operands of the per-piece evaluation, so trajectories do
 not change by a bit.
 
+Each Newton step solves its 6x6 (on three buses) system with the LAPACK
+gufunc that `np.linalg.solve` wraps, `numpy.linalg._umath_linalg.solve1`,
+called directly: at this size the wrapper's checks, conversions and the
+`np.errstate` it enters on every call cost about as much as LAPACK itself.
+The gufunc reports a singular matrix through numpy's floating-point error
+state, so `simulate` enters `np.linalg.solve`'s own error state once per
+run and `solve_bus_voltages` once per call (`_solve_errors`). Inside it an
+invalid operation of any numpy float work raises LinAlgError, so that work
+is kept to the solves and to the Bregman storage's sums and dots, which
+read finite operands: a converged solve's voltages and powers, and device
+states, as each energy squares its states other than the angle with
+Python's `**`, which raises OverflowError near 1e154, long before a state
+or an angle driven by one could overflow. The RK4 stages and the state
+derivatives run on Python floats, which numpy's error state does not see.
+The gufunc has been in that private module since numpy 1.8, so every numpy
+the project allows has it; a numpy without it fails at import, and there
+is no fallback path.
+
 Along trajectories the total Bregman storage (relative to a chosen
 equilibrium) is tracked; for exact solutions it decays at the analytic
 dissipation rate. The public functions take device states as one vector
@@ -39,6 +57,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve  # what np.linalg.solve calls
 
 from .network import power_balance
 from .network import network_hessian  # noqa: F401 -- unused; bench/tests traces simulation.network_hessian
@@ -63,19 +83,36 @@ class AlgebraicSolveError(RuntimeError):
     """Per-stage Newton solve of the bus voltages failed to converge."""
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve_errors():
+    """The error state `np.linalg.solve` runs its gufunc under, as a fresh context manager.
+
+    A singular matrix, which the gufunc reports as an invalid operation,
+    raises LinAlgError; overflow, division by zero and underflow pass
+    silently.
+    """
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def _split_states(x, slices):
     x = np.asarray(x, dtype=float).tolist()
     return [x[sl] for sl in slices]
 
 
-def _mismatch(powers, P_net, Q_net):
-    """Infinity norm of the (P, Q) mismatch between device outputs and network balance.
-
-    NaN when any entry is NaN, which Python's `max` would skip unless it came first.
-    """
-    gaps = [abs(x - x_net) for (P, Q), P_i, Q_i in zip(powers, P_net, Q_net)
-            for x, x_net in ((P, P_i), (Q, Q_i))]
+def _max_abs(values):
+    """Largest |value|, or NaN when any is NaN, which Python's `max` would skip unless first."""
+    gaps = [abs(x) for x in values]
     return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
+
+
+def _mismatch(powers, P_net, Q_net):
+    """Infinity norm of the (P, Q) mismatch between device outputs and network balance."""
+    return _max_abs(x - x_net for (P, Q), P_i, Q_i in zip(powers, P_net, Q_net)
+                    for x, x_net in ((P, P_i), (Q, Q_i)))
 
 
 def _voltage_newton(system, states, setpoints, v_guess, network=None):
@@ -84,7 +121,9 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
     `network` is the network evaluation at `v_guess` that an earlier solve
     ended with, when there is one; it stands in for the first iterate's.
     Also returns each device's source and (P, Q), and the network
-    evaluation (P, Q, Hessian), all at the solution.
+    evaluation (P, Q, Hessian), all at the solution. Runs under
+    `_solve_errors`, which turns LAPACK's report of a singular voltage
+    Hessian into LinAlgError.
     """
     lines = system.net._lines
     v = np.array(v_guess, dtype=float)
@@ -107,15 +146,15 @@ def _voltage_newton(system, states, setpoints, v_guess, network=None):
             break
         H = lines.hessian(hessian, [src.bus_block() for src in sources])
         try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
+            step = _lapack_solve(H, g)
+        except LinAlgError as exc:
             raise AlgebraicSolveError("singular voltage Jacobian") from exc
         v = v - step
         network = None
     else:
         raise AlgebraicSolveError(
             f"voltage Newton did not converge in {_NEWTON_MAX_ITER} iterations "
-            f"(residual {np.abs(g).max():.3e})"
+            f"(residual {_max_abs(g):.3e})"
         )
     powers = [src.power() for src in sources]
     res = _mismatch(powers, P_l, Q_l)
@@ -144,9 +183,13 @@ def solve_bus_voltages(system, x, v_guess, setpoints):
     previous step's voltages during integration. Raises AlgebraicSolveError
     when an iterate leaves V > 0, the Jacobian is singular, 30 iterations do
     not converge or the (P, Q) mismatch at the solution exceeds 1e-10;
-    simulate() treats this as a step rejection.
+    simulate() treats this as a step rejection. Each call enters numpy's
+    error state for the LAPACK solves once (see the module docstring), and
+    leaves the caller's error state as it found it.
     """
-    return _voltage_newton(system, _split_states(x, system.state_slices()), setpoints, v_guess)[0]
+    states = _split_states(x, system.state_slices())
+    with _solve_errors():
+        return _voltage_newton(system, states, setpoints, v_guess)[0]
 
 
 def _storage(system, eq: Equilibrium):
@@ -277,6 +320,10 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     is not; so does a step count `t_end / dt` that overflows or exceeds
     sys.maxsize, which no trajectory could hold, or that is not a whole
     number (within 1e-9 of t_end), as no run of whole steps ends at t_end.
+    `x0` must be a finite vector of `system.n_states` entries, else
+    ValueError, before any solve. The run enters numpy's error state for the
+    LAPACK solves once, whatever its step count (see the module docstring),
+    and leaves the caller's error state as it found it.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not 0 < value < math.inf:  # also rejects nan
@@ -288,48 +335,56 @@ def simulate(system, eq: Equilibrium, x0=None, dt=1e-3, t_end=1.0):
     n_steps = int(round(n_steps))
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:  # also rejects a run of no steps
         raise ValueError(f"t_end / dt must be a whole number of steps, got {t_end:g} / {dt:g}")
+    x = np.asarray(eq.x() if x0 is None else x0, dtype=float)
+    if x.shape != (system.n_states,) or not np.isfinite(x).all():
+        raise ValueError(f"x0 must be a finite vector of {system.n_states} device states, "
+                         f"got {x.tolist()}")
+    x = x.tolist()
     setpoints = eq.setpoints
     slices = system.state_slices()
     storage = _storage(system, eq)
-    x = np.array(x0 if x0 is not None else eq.x(), dtype=float)
 
     def rhs(x_stage, start):
-        """State derivative at `x_stage`, and the voltage solve there.
+        """State derivative at the list `x_stage`, and the voltage solve there.
 
         `start` holds the voltages to start from and, where an earlier solve
         ended at them, that solve's network evaluation; the solve returns
         the same pair for the next stage.
         """
-        states = _split_states(x_stage, slices)
+        states = [x_stage[sl] for sl in slices]
         v_stage, sources, powers, network = _voltage_newton(system, states, setpoints, *start)
-        parts = [dev._state_derivative(state, src, P, sp, system.omega0)
-                 for dev, state, src, (P, _), sp in zip(system.devices, states, sources, powers,
-                                                        setpoints)]
-        deriv = np.concatenate(parts) if parts else np.zeros(0)
+        deriv = [d for dev, state, src, (P, _), sp in zip(system.devices, states, sources, powers,
+                                                          setpoints)
+                 for d in dev._state_derivative(state, src, P, sp, system.omega0)]
         return deriv, (v_stage, network), (states, v_stage, network[1], sources), powers
 
-    k1, start, solved, powers = rhs(x, (eq.v(),))
+    # RK4 on Python floats, each operation in the order numpy took it, so the bits are numpy's
+    def stage(x, h, k):
+        return [a + h * b for a, b in zip(x, k)]
 
-    xs = [x]
-    vs = [start[0]]
-    Ws = [storage(*solved)]
-    Ps = [powers]
+    half, sixth = 0.5 * dt, dt / 6.0
     diagnostic = None
-
-    for k in range(n_steps):
-        try:
-            k2, start, _, _ = rhs(x + 0.5 * dt * k1, start)
-            k3, start, _, _ = rhs(x + 0.5 * dt * k2, start)
-            k4, start, _, _ = rhs(x + dt * k3, start)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1, start, solved, powers = rhs(x, start)  # the next step's first stage, and its row
-        except AlgebraicSolveError as exc:
-            diagnostic = f"truncated at t={k * dt:.6g}s: {exc}"  # the time of the last row
-            break
-        xs.append(x)
-        vs.append(start[0])
-        Ws.append(storage(*solved))
-        Ps.append(powers)
+    with _solve_errors():
+        k1, start, solved, powers = rhs(x, (eq.v(),))
+        xs = [x]
+        vs = [start[0]]
+        Ws = [storage(*solved)]
+        Ps = [powers]
+        for k in range(n_steps):
+            try:
+                k2, start, _, _ = rhs(stage(x, half, k1), start)
+                k3, start, _, _ = rhs(stage(x, half, k2), start)
+                k4, start, _, _ = rhs(stage(x, dt, k3), start)
+                x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+                k1, start, solved, powers = rhs(x, start)  # the next step's first stage, and its row
+            except AlgebraicSolveError as exc:
+                diagnostic = f"truncated at t={k * dt:.6g}s: {exc}"  # the time of the last row
+                break
+            xs.append(x)
+            vs.append(start[0])
+            Ws.append(storage(*solved))
+            Ps.append(powers)
 
     return Trajectory(
         t=np.arange(len(xs)) * dt,  # row k is step k

@@ -69,25 +69,26 @@ class TestVoltageSolve:
             solve_bus_voltages(system, x, eq.v(), eq.setpoints)
 
     def test_singular_jacobian_raises(self, monkeypatch):
-        # no input is known to make the voltage Hessian singular; LAPACK's report is stood in for
+        # no input is known to make the voltage Hessian singular; an all-zero one stands in,
+        # and LAPACK itself reports it
         system, eq = fixture_system(None)
         x = perturbed_state(eq, 0, 0.05)
-        monkeypatch.setattr(np.linalg, "solve", singular_after(0))
+        monkeypatch.setattr(network._Lines, "hessian", singular_after(0))
         with pytest.raises(AlgebraicSolveError) as info:
             solve_bus_voltages(system, x, eq.v(), eq.setpoints)
         assert str(info.value) == "singular voltage Jacobian"
 
 
 def singular_after(calls):
-    """`np.linalg.solve`, raising LinAlgError from call `calls` + 1 on."""
-    solve = np.linalg.solve
+    """`network._Lines.hessian`, returning an all-zero voltage Hessian from call `calls` + 1 on."""
+    hessian = network._Lines.hessian
     count = [0]
 
-    def patched(*args):
+    def patched(lines, *args):
         count[0] += 1
         if count[0] > calls:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(*args)
+            return np.zeros((2 * lines.n, 2 * lines.n))
+        return hessian(lines, *args)
 
     patched.count = count
     return patched
@@ -251,9 +252,9 @@ class TestReferenceEquality:
         counts = {"solves": 0, "evaluations": 0, "balances": 0, "linear": 0}
 
         def counting(key, fn):
-            def counted(*args):
+            def counted(*args, **kwargs):
                 counts[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return counted
 
         monkeypatch.setattr(simulation, "_voltage_newton",
@@ -262,7 +263,8 @@ class TestReferenceEquality:
                             counting("evaluations", network._Lines.evaluate))
         monkeypatch.setattr(simulation, "power_balance",
                             counting("balances", simulation.power_balance))
-        monkeypatch.setattr(np.linalg, "solve", counting("linear", np.linalg.solve))
+        monkeypatch.setattr(simulation, "_lapack_solve",
+                            counting("linear", simulation._lapack_solve))
         simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=5e-4, t_end=0.005)
         assert counts == {"solves": 41, "evaluations": 76 + 1, "balances": 1, "linear": 75}
 
@@ -272,9 +274,9 @@ class TestSimulate:
         system, eq = fixture_system(None)
         x0 = perturbed_state(eq, 0, 0.05)
         counting = singular_after(math.inf)
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(network._Lines, "hessian", counting)
         solve_bus_voltages(system, x0, eq.v(), eq.setpoints)  # the initial solve's Newton steps
-        monkeypatch.setattr(np.linalg, "solve", singular_after(counting.count[0]))
+        monkeypatch.setattr(network._Lines, "hessian", singular_after(counting.count[0]))
         traj = simulate(system, eq, x0=x0, dt=1e-3, t_end=0.1)
         assert (traj.truncated, traj.t.size) == (True, 1)
         assert traj.diagnostic == "truncated at t=0s: singular voltage Jacobian"
@@ -350,6 +352,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"t_end / dt must be finite"):
             simulate(system, eq, dt=1e-310, t_end=1e10)
 
+    @pytest.mark.parametrize("x0", ["short", "long", "row", "nan", "inf"])
+    def test_x0_must_be_a_finite_vector_of_device_states(self, x0, monkeypatch):
+        system, eq = fast_three_bus()
+        x = eq.x()
+        x0 = {"short": x[:-1], "long": np.append(x, 0.0), "row": x[None, :],
+              "nan": np.where(np.arange(x.size) == 1, math.nan, x),
+              "inf": np.where(np.arange(x.size) == 1, math.inf, x)}[x0]
+        monkeypatch.setattr(simulation, "_voltage_newton", None)  # no solve may start
+        with pytest.raises(ValueError, match=rf"^x0 must be a finite vector of {x.size} device "
+                                             rf"states, got \["):
+            simulate(system, eq, x0=x0, dt=1e-3, t_end=0.01)
+
     def test_load_bus_has_no_angle_to_perturb(self):
         system, eq = fast_three_bus(mode="following")
         with pytest.raises(ValueError, match="bus 1 hosts a load"):
@@ -365,6 +379,55 @@ class TestSimulate:
             deriv = dev.state_derivative(traj.x[-1][slices[i]], v[2 * i], v[2 * i + 1],
                                          eq.setpoints[i], system.omega0)
             assert abs(deriv[0]) < 1e-6  # d(delta)/dt in the rotating frame
+
+
+class TestErrorState:
+    """The voltage solves' numpy error state: entered once per run, left as it was found."""
+
+    def test_entered_once_per_run(self, monkeypatch):
+        # np.linalg.solve enters its error state on every call, once per Newton step
+        system, eq = fixture_system(None)
+        entries = []
+        enter = np.errstate.__enter__
+        monkeypatch.setattr(np.errstate, "__enter__", lambda self: entries.append(self) or enter(self))
+        counts = []
+        for t_end in (0.005, 0.05):
+            simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=5e-4, t_end=t_end)
+            counts.append(len(entries))
+            entries.clear()
+        assert counts == [1, 1]
+        solve_bus_voltages(system, perturbed_state(eq, 0, 0.05), eq.v(), eq.setpoints)
+        assert len(entries) == 1
+
+    @pytest.mark.parametrize("case", ["simulate", "solve", "truncated", "raises", "singular"])
+    def test_caller_error_state_is_kept(self, case, monkeypatch):
+        system, eq = fixture_system(None)
+        x0 = perturbed_state(eq, 0, 1.0 if case == "raises" else 0.05)
+        if case == "truncated":  # the initial solve's Newton steps pass, the first stage's fail
+            counting = singular_after(math.inf)
+            monkeypatch.setattr(network._Lines, "hessian", counting)
+            solve_bus_voltages(system, x0, eq.v(), eq.setpoints)
+            monkeypatch.setattr(network._Lines, "hessian", singular_after(counting.count[0]))
+        elif case == "singular":
+            monkeypatch.setattr(network._Lines, "hessian", singular_after(0))
+
+        def caller(err, flag):
+            raise AssertionError("the caller's handler was called")
+
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="call", call=caller):
+            before = np.geterr(), np.geterrcall()
+            if case in ("solve", "singular"):
+                run = lambda: solve_bus_voltages(system, x0, eq.v(), eq.setpoints)
+            else:
+                run = lambda: simulate(system, eq, x0=x0, dt=1e-3, t_end=0.01)
+            if case in ("raises", "singular"):
+                with pytest.raises(AlgebraicSolveError):
+                    run()
+            elif case == "truncated":
+                assert run().truncated
+            else:
+                run()
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestStorage:
