@@ -250,9 +250,12 @@ def certify(flow, system, bus_ids=None):
     must be inside its capability region (CapabilityError otherwise) and its
     closed forms finite (CertificateError naming the bus otherwise). Returns
     a StabilityReport; verdicts within CERT_TOL of either boundary are marginal.
+    `bus_ids`, if given, names the buses in the report, one id per bus, else ValueError.
     """
     n = system.n_bus
     ids = list(bus_ids) if bus_ids is not None else list(range(n))
+    if len(ids) != n:
+        raise ValueError(f"bus_ids must name each of the {n} buses, got {len(ids)} ids")
     _check_balance(system, flow)
 
     terms = [_bus_terms(dev, float(flow.theta[i]), system.operating_point(flow, i))

@@ -172,8 +172,7 @@ def cmd_sweep(args):
     flow = solve_power_flow(cfg.system.net, cfg.bus_specs)  # a load mode swaps a device, not a spec
     buf = _output(args, "X_d,X_q,load_mode,verdict_certificate,verdict_eigen,min_eig\n")
     text = {x: _fmt(x) for x in (*xd_values, *xq_values)}  # each grid value formatted once
-    # every mode's sweep bus is checked before any point is evaluated
-    sweeps = [sweep_verdicts(system, flow, bus_index, xd_values, xq_values) for system in systems]
+    sweeps = sweep_verdicts(systems, flow, bus_index, xd_values, xq_values)
     for mode, points in zip(modes, sweeps):
         for x_d, x_q, v_cert, v_eig, min_eig in points:
             min_eig = _fmt(min_eig) if min_eig is not None else ""

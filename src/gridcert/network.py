@@ -156,7 +156,8 @@ class Network:
     B is held read-only, so the line kernel cached from it stays its image: a
     write into `B` raises, and a later write into the array the network was
     made from does not reach it. That array is copied unless it is read-only
-    and owns its data, as `from_lines` makes it.
+    and owns its data, as `from_lines` makes it. B must be n_bus x n_bus and
+    symmetric, else ValueError.
     """
 
     n_bus: int
@@ -167,6 +168,10 @@ class Network:
             B = np.array(self.B, dtype=float)
             B.flags.writeable = False
             object.__setattr__(self, "B", B)
+        if self.B.shape != (self.n_bus, self.n_bus):
+            raise ValueError(f"B must be {self.n_bus} x {self.n_bus}, got shape {self.B.shape}")
+        if not np.array_equal(self.B, self.B.T):
+            raise ValueError("B must be symmetric")
 
     @classmethod
     def from_lines(cls, n_bus, lines):

@@ -298,7 +298,11 @@ class Trajectory:
 
 
 def perturbed_state(eq: Equilibrium, bus, delta_shift):
-    """Equilibrium device states with one rotor angle shifted by `delta_shift` radians."""
+    """Equilibrium device states with bus index `bus`'s rotor angle shifted by `delta_shift`
+    radians. A bus index outside 0..n_bus-1 raises ValueError."""
+    n = eq.system.n_bus
+    if not 0 <= bus < n:
+        raise ValueError(f"bus index must be in 0..{n - 1}, got {bus}")
     dev = eq.system.devices[bus]
     if dev.n_states == 0:
         raise ValueError(f"bus {bus} hosts a load; it has no angle to perturb")

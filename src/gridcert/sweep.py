@@ -1,7 +1,7 @@
 """Batched reactance sweep: both stability verdicts over an (X_d, X_q) grid at one bus.
 
 Between grid points only the swept bus's device changes. The flow's balance
-check, operating points and network Hessian are computed once per sweep, and
+check, operating points and network Hessian are computed once per system, and
 each other bus's coefficient and stiffness block (by `certify`'s per-bus
 rule) and energy blocks once per bus. The other buses' stiffness blocks are
 added into the network Hessian once, so each point adds only its own. The
@@ -19,17 +19,16 @@ again, until the failing point stands alone and is infeasible in that
 column. A clean stack takes one call per kernel.
 
 Stacks are independent, and most of a stack's time is spent in LAPACK's
-stacked calls, which release the interpreter lock; so on several CPUs a pool
-of one thread per CPU evaluates them concurrently, with at most 2 x CPUs
-stacks alive at once, and yields their rows in grid order. The worker count
-follows the CPU set the process may run on (`taskset`, for example), not an
-option; on one CPU no thread is started. The output is the same whatever the
-CPU count or the stack cut.
+stacked calls, which release the interpreter lock; so on several CPUs one
+pool of one thread per CPU evaluates the stacks of every system swept, in
+order, and the call returns each system's rows in grid order. The worker
+count follows the CPU set the process may run on (`taskset`, for example),
+not an option; on one CPU no thread is started. The output is the same
+whatever the CPU count or the stack cut.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import os
 
@@ -67,19 +66,41 @@ __all__ = ["sweep_verdicts"]
 _STACK_ENTRIES = 2**16
 
 
-def sweep_verdicts(system, flow, bus, xd_values, xq_values):
-    """Certificate and eigenvalue verdicts with bus index `bus`'s device at each (X_d, X_q).
+def sweep_verdicts(systems, flow, bus, xd_values, xq_values):
+    """Certificate and eigenvalue verdicts with bus index `bus`'s device at each (X_d, X_q), for
+    each system in `systems`, every one at the power flow `flow`.
 
-    Returns an iterator of (x_d, x_q, certificate verdict, eigenvalue verdict,
-    min_eig) for every grid point, X_d-major; min_eig is None where the
-    certificate stops at a synchronizing coefficient. A verdict is infeasible
-    where the library call behind it would raise, and both are where the
-    device cannot be built. A load at the swept bus or a non-positive bus
-    voltage in `flow` raises ValueError here, before any point is evaluated.
+    Returns one list per system of (x_d, x_q, certificate verdict, eigenvalue
+    verdict, min_eig) for every grid point, X_d-major; min_eig is None where
+    the certificate stops at a synchronizing coefficient. A verdict is
+    infeasible where the library call behind it would raise, and both are
+    where the device cannot be built. A load at the swept bus of any system
+    or a non-positive bus voltage in `flow` raises ValueError here, before
+    any point is evaluated. Every system's stacks go, in order, to one pool
+    of one thread per CPU, or are evaluated here on one CPU; an exception
+    from a stack cancels the stacks not yet started.
     """
-    if isinstance(system.devices[bus], ConstantPowerLoad):
+    if any(isinstance(system.devices[bus], ConstantPowerLoad) for system in systems):
         raise ValueError("sweep bus must host a generator or grid-forming inverter")
-    return _Sweep(system, flow, bus).points(xd_values, xq_values)
+    sweeps = [_Sweep(system, flow, bus) for system in systems]
+    grid = list(itertools.product(xd_values, xq_values))
+    owners, stacks = [], []
+    for sweep in sweeps:
+        per_stack = max(1, _STACK_ENTRIES // sweep.size**2)
+        for start in range(0, len(grid), per_stack):
+            owners.append(sweep)
+            stacks.append(grid[start:start + per_stack])
+    cpus = _cpus()
+    if cpus == 1:
+        done = list(map(_Sweep._rows, owners, stacks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a sweep on several CPUs pays it
+        with ThreadPoolExecutor(cpus) as pool:
+            done = list(pool.map(_Sweep._rows, owners, stacks))
+    rows = {sweep: [] for sweep in sweeps}
+    for sweep, stack_rows in zip(owners, done):
+        rows[sweep].extend(stack_rows)
+    return list(rows.values())
 
 
 class _Sweep:
@@ -137,37 +158,6 @@ class _Sweep:
             _add_device_block(self.energy, hessian, slices[i], i)
             self.R[slices[i], slices[i]] = damping
         self.certifiable, self.gammas = True, np.array(gammas)
-
-    def points(self, xd_values, xq_values):
-        """(x_d, x_q, certificate verdict, eigenvalue verdict, min_eig) over the grid, X_d-major,
-        evaluated in stacks of at most max(1, _STACK_ENTRIES // size**2) points.
-
-        On one CPU the stacks are evaluated here, one after another. Otherwise a
-        pool of one thread per CPU evaluates them, at most 2 x CPUs stacks
-        alive at once, and their rows are yielded in grid order; an exception
-        from a stack is raised after the rows of the stacks before it. The
-        pool is shut down when the generator finishes, raises or is closed.
-        """
-        grid = itertools.product(xd_values, xq_values)
-        per_stack = max(1, _STACK_ENTRIES // self.size**2)
-        stacks = iter(lambda: list(itertools.islice(grid, per_stack)), [])
-        cpus = _cpus()
-        if cpus == 1:
-            for stack in stacks:
-                yield from self._rows(stack)
-            return
-        from concurrent.futures import ThreadPoolExecutor  # only a sweep on several CPUs pays it
-
-        pool, window = ThreadPoolExecutor(cpus), collections.deque()
-        try:
-            for stack in stacks:
-                window.append(pool.submit(self._rows, stack))
-                if len(window) == 2 * cpus:
-                    yield from window.popleft().result()
-            while window:
-                yield from window.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
 
     def _rows(self, stack):
         """The rows of the grid points in the list `stack`."""

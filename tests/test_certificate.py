@@ -99,6 +99,11 @@ class TestLoadStiffnessBlock:
     def test_capacitive_load_is_psd(self):
         assert np.linalg.eigvalsh(load_stiffness_block(0.3, 0.95))[0] >= 0.0
 
+    @pytest.mark.parametrize("V", [0.0, -0.5, math.nan])
+    def test_non_positive_voltage_rejected(self, V):
+        with pytest.raises(ValueError, match="bus voltage must be positive"):
+            load_stiffness_block(-0.5, V)
+
 
 class TestNetworkHessian:
     def test_flat_two_bus(self):
@@ -155,6 +160,12 @@ class TestCertify:
         assert report.verdict == "stable"
         assert report.gammas[0] == pytest.approx(1.0 / 0.069, rel=1e-12)
         assert report.min_eig == pytest.approx(1.0 / 0.10, rel=1e-12)
+
+    @pytest.mark.parametrize("ids", [[1, 2], [1, 2, 3, 4]])
+    def test_bus_ids_name_every_bus(self, ids):
+        cfg = gc.parse_config(three_bus_doc())
+        with pytest.raises(ValueError, match=f"each of the 3 buses, got {len(ids)} ids"):
+            certify(solved(cfg), cfg.system, bus_ids=ids)
 
     def test_three_bus_forming_agrees_with_eigen_oracle(self):
         cfg = gc.parse_config(three_bus_doc(x3=(0.10, 0.069)))

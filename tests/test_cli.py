@@ -274,6 +274,11 @@ class TestCertify:
                                       "--load-mode", mode, "--no-timestamp"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_unknown_load_mode_rejected(self):
+        cfg = gc.parse_config(three_bus_doc())
+        with pytest.raises(gc.ConfigError, match="unknown load mode 'mixed'"):
+            gc.apply_load_mode(cfg, "mixed")
+
     def test_load_off_its_flow_exit_2(self, capsys, tmp_path):
         # certify rejects the load as the eigen oracle's equilibrium does, with its message
         path = write_config(tmp_path, off_flow_load_doc())

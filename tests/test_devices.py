@@ -34,6 +34,22 @@ def default_two_axis(x_d=0.10, x_q=0.069):
                                X_d=x_d, X_q=x_q, X_d_prime=0.05, X_q_prime=0.03)
 
 
+@pytest.mark.parametrize("V", [0.0, -1.0, math.nan])
+def test_operating_point_needs_a_positive_voltage(V):
+    with pytest.raises(ValueError, match="bus voltage must be positive"):
+        OperatingPoint(V=V, P=0.0, Q=0.0)
+
+
+def test_power_system_needs_one_device_per_bus_and_a_positive_omega0():
+    net = gc.Network.from_lines(2, [gc.Line(0, 1, 1.0)])
+    inverter = gc.VsgInverter(M=0.2, D=1.0, X_d=0.10, X_q=0.069)
+    with pytest.raises(ValueError, match="need one device per bus: 2 buses, 1 devices"):
+        gc.PowerSystem(net, [inverter])
+    for omega0 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="omega0 must be positive"):
+            gc.PowerSystem(net, [inverter, inverter], omega0)
+
+
 class TestInternalPhase:
     def test_zero_active_power_gives_zero_phase(self):
         assert internal_phase(OperatingPoint(V=1.0, P=0.0, Q=0.4), 0.069) == 0.0

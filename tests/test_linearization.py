@@ -122,6 +122,11 @@ class TestKronReduce:
         H = np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
         assert np.array_equal(kron_reduce(H, 2), A)
 
+    def test_no_algebraic_block_returns_the_matrix(self):
+        H = np.array([[3.0, 1.0], [1.0, 5.0]])
+        reduced = kron_reduce(H, H.shape[0])
+        assert np.array_equal(reduced, H) and not np.shares_memory(reduced, H)
+
     def test_scalar_schur(self):
         H = np.array([[4.0, 2.0], [2.0, 8.0]])
         assert kron_reduce(H, 1)[0, 0] == pytest.approx(4.0 - 4.0 / 8.0)

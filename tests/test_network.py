@@ -52,6 +52,17 @@ def test_network_holds_a_read_only_copy_of_b():
         built.B[0, 0] = 0.0
 
 
+def test_network_rejects_a_b_it_cannot_represent():
+    B = gc.build_susceptance(3, [Line(0, 1, 40.0), Line(1, 2, 45.0)])
+    with pytest.raises(ValueError, match=r"B must be 3 x 3, got shape \(2, 2\)"):
+        Network(3, B[:2, :2])
+    asymmetric = B.copy()
+    asymmetric[0, 1] += 1.0  # network_hessian would not be symmetric, and eigh reads one half
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        Network(3, asymmetric)
+    assert not Network(3, np.zeros((3, 3))).B.any()  # the kernel tests' B = 0 stays valid
+
+
 def test_susceptance_parallel_lines_sum():
     B = gc.build_susceptance(2, [Line(0, 1, 1.0), Line(1, 0, 2.5)])
     assert B[0, 1] == pytest.approx(3.5)
@@ -80,6 +91,8 @@ def test_line_and_graph_validation():
         gc.build_susceptance(3, [Line(0, 1, 1.0)])
     with pytest.raises(ValueError, match="outside"):
         gc.build_susceptance(2, [Line(0, 5, 1.0)])
+    with pytest.raises(ValueError, match="at least one bus"):
+        gc.build_susceptance(0, [])
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -413,6 +426,12 @@ def test_solve_requires_exactly_one_slack():
         gc.solve_power_flow(net, [PQ(0, 0), PQ(0, 0)])
     with pytest.raises(ValueError, match="slack"):
         gc.solve_power_flow(net, [Slack(), Slack()])
+
+
+def test_solve_requires_one_spec_per_bus():
+    net = Network.from_lines(2, [Line(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="expected 2 bus specs, got 3"):
+        gc.solve_power_flow(net, [Slack(), PQ(0, 0), PQ(0, 0)])
 
 
 def test_normalize_angle_reporting_interval():

@@ -364,6 +364,12 @@ class TestSimulate:
                                              rf"states, got \["):
             simulate(system, eq, x0=x0, dt=1e-3, t_end=0.01)
 
+    @pytest.mark.parametrize("bus", [-1, 3, 5])
+    def test_perturbed_bus_must_be_a_bus_index(self, bus):
+        system, eq = fast_three_bus()
+        with pytest.raises(ValueError, match=f"bus index must be in 0..2, got {bus}"):
+            perturbed_state(eq, bus, 0.05)
+
     def test_load_bus_has_no_angle_to_perturb(self):
         system, eq = fast_three_bus(mode="following")
         with pytest.raises(ValueError, match="bus 1 hosts a load"):
@@ -447,6 +453,23 @@ class TestStorage:
             W = bregman_storage(system, eq, eq.x() + z[:n_x], eq.v() + z[n_x:])
             quad = 0.5 * z @ H @ z
             assert abs(W - quad) / max(abs(quad), 1e-12) < 1e-2
+
+    def test_load_dissipates_nothing(self):
+        # with a constant-power load, the rate is the sum over the sources alone
+        system, eq = fast_three_bus(mode="following")
+        traj = simulate(system, eq, x0=perturbed_state(eq, 0, 0.05), dt=1e-3, t_end=0.01)
+        x, v = traj.x[-1], traj.v[-1]
+        sources = []
+        for i, (dev, sl) in enumerate(zip(system.devices, system.state_slices())):
+            deriv = dev.state_derivative(x[sl], v[2 * i], v[2 * i + 1], eq.setpoints[i],
+                                         system.omega0)
+            rate = dev.dissipation_rate(deriv, system.omega0)
+            if isinstance(dev, gc.ConstantPowerLoad):
+                assert rate == 0.0
+            else:
+                sources.append(rate)
+        assert len(sources) == 2 and sum(sources) < 0
+        assert dissipation_rate(system, x, v, eq.setpoints) == sum(sources)
 
     def test_dissipation_identity_along_trajectory(self):
         # standard inertias keep swing frequencies low enough for the central

@@ -6,9 +6,9 @@ do not depend on where the grid is cut into stacks, a stack never holds more
 points than its memory bound allows, a stack a kernel rejects is halved until
 the rejected point stands alone, a clean stack is evaluated by one stacked
 call per kernel, and what the flow alone fixes is computed once per load
-mode. Stacks evaluated by a thread pool give the rows of stacks evaluated
-one after another, in grid order, and neither an error nor an early close
-leaves a thread behind. The kernels the sweep shares with `certify` and
+mode. One thread pool evaluates every mode's stacks and gives the rows of
+stacks evaluated one after another, in grid order, and an error leaves no
+thread behind. The kernels the sweep shares with `certify` and
 `eigenvalue_verdict` are tested beside them, in test_certificate.py and
 test_linearization.py.
 """
@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_spectrum_verdicts(spectrum, verdict):
 def test_load_bus_rejected(fixture_cfg):
     cfg = gc.apply_load_mode(fixture_cfg, "following")
     with pytest.raises(ValueError, match="sweep bus"):
-        next(sweep_verdicts(cfg.system, solved(cfg), 1, [0.1], [0.1]))
+        sweep_verdicts([cfg.system], solved(cfg), 1, [0.1], [0.1])
 
 
 def test_overflowing_closed_forms_are_certificate_infeasible(fixture_cfg, monkeypatch):
@@ -82,8 +83,8 @@ def test_overflowing_closed_forms_are_certificate_infeasible(fixture_cfg, monkey
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     with np.errstate(all="ignore"):
-        gamma_row = list(sweep_verdicts(cfg.system, flow, 2, [1e-320], [0.069]))
-        stiffness_row = list(sweep_verdicts(cfg.system, flow, 2, [1e-299], [1e-10, 0.069]))
+        gamma_row = sweep_verdicts([cfg.system], flow, 2, [1e-320], [0.069])[0]
+        stiffness_row = sweep_verdicts([cfg.system], flow, 2, [1e-299], [1e-10, 0.069])[0]
     # the verdict does not wait for LAPACK to fail: only (1e-299, 0.069) reaches eigh
     assert finite_inputs == [True]
     for point in (gamma_row[0], stiffness_row[0]):
@@ -97,7 +98,7 @@ def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, co
     cfg = gc.apply_load_mode(fixture_cfg, "forming")
     flow = solved(cfg)
     grid = ([0.1, 4.0], [0.069, 4.0])
-    expected = list(sweep_verdicts(cfg.system, flow, 2, *grid))
+    expected = sweep_verdicts([cfg.system], flow, 2, *grid)[0]
     assert all(row[2] in ("stable", "unstable") for row in expected)
     assert all(row[3] in ("stable", "unstable") for row in expected)
     original = getattr(np.linalg, name)
@@ -112,7 +113,7 @@ def test_rejected_matrix_stays_with_its_point(fixture_cfg, monkeypatch, name, co
         return original(a)
 
     monkeypatch.setattr(np.linalg, name, fussy)
-    rows = list(sweep_verdicts(cfg.system, flow, 2, *grid))
+    rows = sweep_verdicts([cfg.system], flow, 2, *grid)[0]
     # the grid's one stack, its first half, that half's halves, then the second half
     assert sizes == [4, 2, 1, 1, 2]
     first = list(expected[0])
@@ -127,8 +128,8 @@ def _rows_and_oracle(cfg, bus, xd_values, xq_values):
     """The sweep's rows at bus index `bus` as text cells, and `sweep_point`'s for each point."""
     flow = solved(cfg)
     rows = [(v_cert, v_eig, "" if min_eig is None else f"{min_eig:.12g}")
-            for _, _, v_cert, v_eig, min_eig in sweep_verdicts(cfg.system, flow, bus, xd_values,
-                                                               xq_values)]
+            for _, _, v_cert, v_eig, min_eig in sweep_verdicts([cfg.system], flow, bus, xd_values,
+                                                               xq_values)[0]]
     return rows, [sweep_point(cfg, flow, bus, x_d, x_q) for x_d in xd_values for x_q in xq_values]
 
 
@@ -152,7 +153,7 @@ def test_unbalanced_flow_makes_every_point_infeasible(fixture_cfg):
     cfg = gc.apply_load_mode(fixture_cfg, "forming")
     flow = solved(cfg)
     unbalanced = dataclasses.replace(flow, P=flow.P + 0.5)
-    rows = list(sweep_verdicts(cfg.system, unbalanced, 2, [0.1, 4.0], [0.069]))
+    rows = sweep_verdicts([cfg.system], unbalanced, 2, [0.1, 4.0], [0.069])[0]
     assert [row[2:] for row in rows] == [("infeasible", "infeasible", None)] * 2
 
 
@@ -183,10 +184,10 @@ def test_clean_stacks_take_one_call_per_kernel(fixture_cfg, monkeypatch):
         return _original(op, X_q)
     monkeypatch.setattr(devices, "internal_phase", counting_phase)
     grid = np.linspace(0.1, 12, 40)
-    for mode in ("forming", "following"):
-        cfg = gc.apply_load_mode(fixture_cfg, mode)
-        rows = list(sweep_verdicts(cfg.system, solved(cfg), cfg.bus_ids.index(3), grid, grid))
-        assert "infeasible" not in {v for row in rows for v in row[2:4]}
+    systems = [gc.apply_load_mode(fixture_cfg, mode).system for mode in ("forming", "following")]
+    sweeps = sweep_verdicts(systems, solved(fixture_cfg), fixture_cfg.bus_ids.index(3), grid, grid)
+    assert [len(rows) for rows in sweeps] == [1600, 1600]
+    assert "infeasible" not in {v for rows in sweeps for row in rows for v in row[2:4]}
     calls = collections.Counter(calls)
     phases = calls.pop("internal_phase")
     # 1,600 points per mode: 5 stacks of <= 334 forming points (energy Hessian 14 x 14) and
@@ -203,7 +204,7 @@ def _cut_sweeps(monkeypatch, cfg, bus, xd_values, xq_values, per_stack):
     """The sweep's points with `_STACK_ENTRIES` set so that stacks hold `per_stack` points."""
     size = cfg.system.n_states + 2 * cfg.system.n_bus
     monkeypatch.setattr(sweep, "_STACK_ENTRIES", per_stack * size**2)
-    return list(sweep_verdicts(cfg.system, solved(cfg), bus, xd_values, xq_values))
+    return sweep_verdicts([cfg.system], solved(cfg), bus, xd_values, xq_values)[0]
 
 
 # X_d = 0 cannot be built; the rest of the grid is stable or unstable in both modes
@@ -255,6 +256,14 @@ def test_cpu_count_does_not_change_the_sweep(fixture_cfg, monkeypatch, mode):
     assert len(rows[0]) == 30
 
 
+def test_cpus_without_affinity(monkeypatch):
+    # where the platform has no affinity, the CPU count stands in for the CPU set
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, cpus in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert sweep._cpus() == cpus
+
+
 def test_one_cpu_starts_no_thread(fixture_cfg, monkeypatch):
     cfg = gc.apply_load_mode(fixture_cfg, "forming")
     started, start = [], threading.Thread.start
@@ -276,33 +285,62 @@ def test_one_cpu_starts_no_thread(fixture_cfg, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_error_surfaces_after_the_earlier_stacks(fixture_cfg, monkeypatch, cpus):
-    # an exception no kernel expects leaves the sweep at its own stack, and no thread behind
+    # an exception no kernel expects leaves the call, cancels the stacks not yet started and
+    # leaves no thread behind
     cfg = gc.apply_load_mode(fixture_cfg, "forming")
     bus = cfg.bus_ids.index(3)
     _set_cpus(monkeypatch, cpus)
-    expected = _cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1)
-    third = expected[2][:2]
-    evaluate = sweep._Sweep.evaluate
+    third = _cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1)[2][:2]
+    evaluated, evaluate = [], sweep._Sweep.evaluate
 
     def failing(self, xd, xq):
+        evaluated.append(len(xd))
         if (xd[0], xq[0]) == third:
             raise RuntimeError("third stack")
+        time.sleep(0.01)  # long enough that the pool cannot finish all 30 before the error
         return evaluate(self, xd, xq)
 
     monkeypatch.setattr(sweep._Sweep, "evaluate", failing)
-    before, rows = threading.active_count(), []
+    before = threading.active_count()
     with pytest.raises(RuntimeError, match="third stack"):
-        for row in sweep_verdicts(cfg.system, solved(cfg), bus, *CUT_GRID):
-            rows.append(row)
-    assert rows == expected[:2]
+        sweep_verdicts([cfg.system], solved(cfg), bus, *CUT_GRID)
     assert threading.active_count() == before
+    assert len(evaluated) == 3 if cpus == 1 else 3 <= len(evaluated) < 30
 
 
-def test_closing_early_stops_the_pool(fixture_cfg, monkeypatch):
-    cfg = gc.apply_load_mode(fixture_cfg, "forming")
-    bus = cfg.bus_ids.index(3)
-    _set_cpus(monkeypatch, 4)
-    expected = _cut_sweeps(monkeypatch, cfg, bus, *CUT_GRID, 1)
+def test_one_pool_serves_every_mode(capsys, monkeypatch):
+    # both load modes' stacks go to one executor, so the last stacks of forming share the
+    # workers with the first of following; with one point a stack and threads that switch
+    # every microsecond, the modes' stacks interleave on the workers and the bytes stay those
+    # of one CPU
+    from concurrent import futures
+    pools = []
+
+    class Recording(futures.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(sweep, "_STACK_ENTRIES", 1)
+    argv = ["sweep", "--config", str(gc.fixture_path("three_bus.json")), "--sweep-bus", "3",
+            "--xd-range", "0.1:4:3", "--xq-range", "0.1:4:3", "--no-timestamp"]
+    outputs, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            _set_cpus(monkeypatch, cpus)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 19  # header, then 9 points per mode
+    assert pools == [(4,)]
+
+
+def test_every_sweep_bus_is_checked_before_any_stack(fixture_cfg, monkeypatch):
+    # bus index 1 hosts the inverter in forming mode and a load in following mode
     evaluated, evaluate = [], sweep._Sweep.evaluate
 
     def recording(self, xd, xq):
@@ -310,14 +348,13 @@ def test_closing_early_stops_the_pool(fixture_cfg, monkeypatch):
         return evaluate(self, xd, xq)
 
     monkeypatch.setattr(sweep._Sweep, "evaluate", recording)
-    before = threading.active_count()
-    points = sweep_verdicts(cfg.system, solved(cfg), bus, *CUT_GRID)
-    assert next(points) == expected[0]
-    assert threading.active_count() > before
-    points.close()
-    assert threading.active_count() == before
-    # of the 30 stacks, at most 2 x 4 were handed to the pool before the first row
-    assert 1 <= len(evaluated) <= 8
+    systems = [gc.apply_load_mode(fixture_cfg, mode).system for mode in ("forming", "following")]
+    flow = solved(fixture_cfg)
+    assert len(sweep_verdicts(systems[:1], flow, 1, [0.1], [0.1])[0]) == 1
+    evaluated.clear()
+    with pytest.raises(ValueError, match="sweep bus"):
+        sweep_verdicts(systems, flow, 1, [0.1, 4.0], [0.1, 4.0])
+    assert evaluated == []
 
 
 def test_import_loads_no_thread_pool():
@@ -342,8 +379,8 @@ def test_stacks_stay_bounded_on_a_large_system(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     dev = drawn.devices[bus]
-    rows = list(sweep_verdicts(drawn, flow, bus, [dev.X_d * s for s in (0.5, 1, 2)],
-                               [dev.X_q * s for s in (0.5, 1, 2, 4)]))
+    rows = sweep_verdicts([drawn], flow, bus, [dev.X_d * s for s in (0.5, 1, 2)],
+                          [dev.X_q * s for s in (0.5, 1, 2, 4)])[0]
     assert len(rows) == 12 and bound < 12
     assert sizes and max(sizes) == bound  # 12 points take several stacks, the first full
 
@@ -374,7 +411,7 @@ def test_min_eig_equals_certify_bit_for_bit(fixture_cfg):
         cfg = gc.apply_load_mode(fixture_cfg, mode)
         flow = solved(cfg)
         bus = cfg.bus_ids.index(3)
-        for x_d, x_q, _, _, min_eig in sweep_verdicts(cfg.system, flow, bus, grid, grid):
+        for x_d, x_q, _, _, min_eig in sweep_verdicts([cfg.system], flow, bus, grid, grid)[0]:
             swept = list(cfg.system.devices)
             swept[bus] = dataclasses.replace(swept[bus], X_d=x_d, X_q=x_q)
             system = gc.PowerSystem(cfg.system.net, swept, cfg.system.omega0)
